@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RowStats, Tensor, abs_gap_sums, row_stats, upper_deficits
+from .core import Tensor, row_stats
 from .errors import InternalError
 
 FLAG_NAMES = ("Z", "B", "B0", "doublyB", "SDD", "SDDD", "F_B", "F_doublyB")
@@ -83,9 +83,8 @@ def _z_witness(stats):
     return _row_witness(i, stats.r_plus[i], 0.0)
 
 
-def _b_witness(A, stats, strict=True):
-    scale = float(A.dim ** (A.order - 1))
-    return _first_failing_row(stats.row_sum, scale * stats.r_plus, strict=strict)
+def _b_witness(stats, strict=True):
+    return _first_failing_row(stats.row_sum, stats.width * stats.r_plus, strict=strict)
 
 
 def _sdd_witness(stats):
@@ -99,32 +98,30 @@ def _sddd_witness(stats):
     return _first_failing_pair(stats.diag, stats.off_diag_abs_sum)
 
 
-def _doubly_b_witness(A, stats):
-    gaps = stats.diag - stats.r_plus
+def _doubly_b_witness(stats):
     bad_row = _first_failing_row(stats.diag, stats.r_plus)
     if bad_row is not None:
         return bad_row
-    return _first_failing_pair(gaps, upper_deficits(A, stats))
+    return _first_failing_pair(stats.diag - stats.r_plus, stats.upper_deficit)
 
 
-def _f_checks(A, stats):
+def _f_checks(stats):
     """Shared inequalities characterizing when the sign-flipped tensor is (doubly) B."""
     r = stats.r_signed
     diag_ok = _first_failing_row(np.abs(stats.diag), np.abs(r))
     gaps = np.abs(stats.diag - r)
-    deficits = abs_gap_sums(A, r)
-    return diag_ok, gaps, deficits
+    return diag_ok, gaps, stats.signed_deficit
 
 
-def _f_b_witness(A, stats):
-    diag_bad, gaps, deficits = _f_checks(A, stats)
+def _f_b_witness(stats):
+    diag_bad, gaps, deficits = _f_checks(stats)
     if diag_bad is not None:
         return diag_bad
     return _first_failing_row(gaps, deficits)
 
 
-def _f_doubly_b_witness(A, stats):
-    diag_bad, gaps, deficits = _f_checks(A, stats)
+def _f_doubly_b_witness(stats):
+    diag_bad, gaps, deficits = _f_checks(stats)
     if diag_bad is not None:
         return diag_bad
     return _first_failing_pair(gaps, deficits)
@@ -137,19 +134,19 @@ def is_z(A: Tensor) -> bool:
 
 def is_b(A: Tensor) -> bool:
     """True when every row sum strictly exceeds n**(m-1) times the row's r_plus."""
-    return _b_witness(A, row_stats(A)) is None
+    return _b_witness(row_stats(A)) is None
 
 
 def is_b0(A: Tensor) -> bool:
     """Non-strict variant of :func:`is_b` (>= instead of >)."""
-    return _b_witness(A, row_stats(A), strict=False) is None
+    return _b_witness(row_stats(A), strict=False) is None
 
 
 def is_doubly_b(A: Tensor) -> bool:
     """True when each diagonal exceeds its r_plus and, for every row pair,
     the product of the diagonal gaps exceeds the product of the row
     deficit sums."""
-    return _doubly_b_witness(A, row_stats(A)) is None
+    return _doubly_b_witness(row_stats(A)) is None
 
 
 def is_sdd(A: Tensor) -> bool:
@@ -186,12 +183,12 @@ def f_transform(A: Tensor) -> Tensor:
 
 def check_f_b(A: Tensor) -> bool:
     """Equivalent to ``is_b(f_transform(A))``, via direct inequalities on r_signed."""
-    return _f_b_witness(A, row_stats(A)) is None
+    return _f_b_witness(row_stats(A)) is None
 
 
 def check_f_doubly_b(A: Tensor) -> bool:
     """Equivalent to ``is_doubly_b(f_transform(A))``, via direct inequalities."""
-    return _f_doubly_b_witness(A, row_stats(A)) is None
+    return _f_doubly_b_witness(row_stats(A)) is None
 
 
 def classify(A: Tensor) -> ClassReport:
@@ -204,13 +201,13 @@ def classify(A: Tensor) -> ClassReport:
     stats = row_stats(A)
     checks = {
         "Z": _z_witness(stats),
-        "B": _b_witness(A, stats),
-        "B0": _b_witness(A, stats, strict=False),
-        "doublyB": _doubly_b_witness(A, stats),
+        "B": _b_witness(stats),
+        "B0": _b_witness(stats, strict=False),
+        "doublyB": _doubly_b_witness(stats),
         "SDD": _sdd_witness(stats),
         "SDDD": _sddd_witness(stats),
-        "F_B": _f_b_witness(A, stats),
-        "F_doublyB": _f_doubly_b_witness(A, stats),
+        "F_B": _f_b_witness(stats),
+        "F_doublyB": _f_doubly_b_witness(stats),
     }
     flags = {name: checks[name] is None for name in FLAG_NAMES}
     witnesses = {name: w for name, w in checks.items() if w is not None}

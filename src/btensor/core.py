@@ -48,18 +48,17 @@ class Tensor:
                 f"tensor with dim {dim} and order {order} needs {count} entries, "
                 f"above the cap of {entry_cap}"
             )
-        arr = np.asarray(entries, dtype=np.float64)
+        arr = np.array(entries, dtype=np.float64, order="C")
         if arr.size != count:
             raise InputError(
                 f"expected {count} entries for order {order}, dim {dim}; got {arr.size}"
             )
         if not np.all(np.isfinite(arr)):
             raise InputError("tensor entries must all be finite")
-        arr = arr.reshape((dim,) * order).copy()
         arr.setflags(write=False)
         self.order = order
         self.dim = dim
-        self._array = arr
+        self._array = arr.reshape((dim,) * order)
 
     @classmethod
     def from_array(cls, arr, entry_cap=DEFAULT_ENTRY_CAP):
@@ -174,11 +173,28 @@ class Tensor:
 
 @dataclass(frozen=True)
 class RowStats:
-    """Per-row aggregates; every field is an array of length ``dim``.
+    """Per-row aggregates; every array field has length ``dim``.
 
     ``r_plus`` is the largest off-diagonal row entry clamped below at 0,
     ``r_minus`` the smallest clamped above at 0, and ``r_signed`` selects
     ``r_plus``, 0 or ``r_minus`` according to the sign of the diagonal.
+    ``width`` is W = n**(m-1), the number of entries in a row.
+
+    Every per-row quantity the class tests and the intervals need follows
+    from these fields in O(n), by summing the off-diagonal terms in closed
+    form:
+
+    * ``upper_deficit``: the sum of (r_plus - a) = (W - 1) r_plus - off_diag_sum;
+    * ``lower_excess``: the sum of (a - r_minus) = off_diag_sum - (W - 1) r_minus;
+    * ``signed_deficit``: the sum of |r_signed - a|, which is the upper deficit
+      on rows with a positive diagonal, the lower excess on rows with a
+      negative one and ``off_diag_abs_sum`` on rows with a zero diagonal;
+    * ``lows``: L = diag - r_plus - upper deficit = row_sum - W r_plus, the
+      B-tensor margin;
+    * ``highs``: U = diag - r_minus + lower excess = row_sum - W r_minus.
+
+    The deficit and excess are nonnegative sums, so a rounding error that
+    would make one negative is clamped to 0.
     """
 
     diag: np.ndarray
@@ -188,43 +204,52 @@ class RowStats:
     row_sum: np.ndarray
     off_diag_sum: np.ndarray
     off_diag_abs_sum: np.ndarray
+    width: float
 
+    @property
+    def upper_deficit(self):
+        return np.maximum((self.width - 1.0) * self.r_plus - self.off_diag_sum, 0.0)
 
-def _row_view(A):
-    """Rows as an (n, n**(m-1)) matrix plus the in-row diagonal positions."""
-    n, m = A.dim, A.order
-    width = n ** (m - 1)
-    rows = A.array.reshape(n, width)
-    if n > 1:
-        # flat position of (i, ..., i) within row i: i * (1 + n + ... + n**(m-2))
-        positions = np.arange(n) * ((width - 1) // (n - 1))
-    else:
-        positions = np.zeros(1, dtype=int)
-    return rows, positions
+    @property
+    def lower_excess(self):
+        return np.maximum(self.off_diag_sum - (self.width - 1.0) * self.r_minus, 0.0)
+
+    @property
+    def signed_deficit(self):
+        return np.where(self.diag > 0, self.upper_deficit,
+                        np.where(self.diag < 0, self.lower_excess, self.off_diag_abs_sum))
+
+    @property
+    def lows(self):
+        return self.row_sum - self.width * self.r_plus
+
+    @property
+    def highs(self):
+        return self.row_sum - self.width * self.r_minus
 
 
 def row_stats(A: Tensor) -> RowStats:
-    """Compute all per-row aggregates in one pass over each row."""
-    rows, pos = _row_view(A)
-    n = A.dim
+    """Compute all per-row aggregates with one full-size scratch buffer."""
+    n, m = A.dim, A.order
+    width = n ** (m - 1)
+    rows = A.array.reshape(n, width)
     idx = np.arange(n)
+    # flat position of (i, ..., i) within row i: i * (1 + n + ... + n**(m-2))
+    pos = idx * ((width - 1) // (n - 1)) if n > 1 else idx
     diag = rows[idx, pos].copy()
     row_sum = rows.sum(axis=1)
     off_diag_sum = row_sum - diag
 
-    abs_rows = np.abs(rows)
-    abs_rows[idx, pos] = 0.0
-    off_diag_abs_sum = abs_rows.sum(axis=1)
+    scratch = np.abs(rows)
+    scratch[idx, pos] = 0.0
+    off_diag_abs_sum = scratch.sum(axis=1)
 
-    if rows.shape[1] > 1:
-        masked = rows.copy()
-        masked[idx, pos] = -np.inf
-        off_max = masked.max(axis=1)
-        masked = rows.copy()
-        masked[idx, pos] = np.inf
-        off_min = masked.min(axis=1)
-        r_plus = np.maximum(0.0, off_max)
-        r_minus = np.minimum(0.0, off_min)
+    if width > 1:
+        np.copyto(scratch, rows)
+        scratch[idx, pos] = -np.inf
+        r_plus = np.maximum(0.0, scratch.max(axis=1))
+        scratch[idx, pos] = np.inf
+        r_minus = np.minimum(0.0, scratch.min(axis=1))
     else:
         r_plus = np.zeros(n)
         r_minus = np.zeros(n)
@@ -233,39 +258,7 @@ def row_stats(A: Tensor) -> RowStats:
     fields = (diag, r_plus, r_minus, r_signed, row_sum, off_diag_sum, off_diag_abs_sum)
     for f in fields:
         f.setflags(write=False)
-    return RowStats(*fields)
-
-
-def upper_deficits(A: Tensor, stats: RowStats | None = None) -> np.ndarray:
-    """Per row, the sum over off-diagonal entries of (r_plus - entry).
-
-    Every term is nonnegative because r_plus dominates all off-diagonal
-    entries of its row.
-    """
-    if stats is None:
-        stats = row_stats(A)
-    rows, pos = _row_view(A)
-    gaps = stats.r_plus[:, None] - rows
-    gaps[np.arange(A.dim), pos] = 0.0
-    return gaps.sum(axis=1)
-
-
-def lower_excesses(A: Tensor, stats: RowStats | None = None) -> np.ndarray:
-    """Per row, the sum over off-diagonal entries of (entry - r_minus)."""
-    if stats is None:
-        stats = row_stats(A)
-    rows, pos = _row_view(A)
-    gaps = rows - stats.r_minus[:, None]
-    gaps[np.arange(A.dim), pos] = 0.0
-    return gaps.sum(axis=1)
-
-
-def abs_gap_sums(A: Tensor, reference: np.ndarray) -> np.ndarray:
-    """Per row i, the sum over off-diagonal entries of ``|reference[i] - entry|``."""
-    rows, pos = _row_view(A)
-    gaps = np.abs(np.asarray(reference, dtype=float)[:, None] - rows)
-    gaps[np.arange(A.dim), pos] = 0.0
-    return gaps.sum(axis=1)
+    return RowStats(*fields, width=float(width))
 
 
 def contract(A: Tensor, x) -> np.ndarray:
@@ -327,15 +320,15 @@ def principal_subtensor(A: Tensor, members) -> Tensor:
 def is_symmetric(A: Tensor, tol: float = 0.0) -> bool:
     """True when the entries are invariant under every index permutation.
 
-    Comparison is exact by default; pass ``tol`` > 0 for an absolute
-    entrywise tolerance.
+    Comparison is exact by default, and then only the m-1 adjacent axis
+    swaps are checked: they generate every permutation.  Pass ``tol`` > 0
+    for an absolute entrywise tolerance; that mode compares against all m!
+    permutations, since closeness under the generators bounds the distance
+    under their products only by a multiple of ``tol``.
     """
     arr = A.array
-    for perm in itertools.permutations(range(A.order)):
-        permuted = np.transpose(arr, perm)
-        if tol == 0.0:
-            if not np.array_equal(arr, permuted):
-                return False
-        elif np.max(np.abs(arr - permuted)) > tol:
-            return False
-    return True
+    if tol == 0.0:
+        return all(np.array_equal(arr, np.swapaxes(arr, k, k + 1))
+                   for k in range(A.order - 1))
+    return not any(np.max(np.abs(arr - np.transpose(arr, perm))) > tol
+                   for perm in itertools.permutations(range(A.order)))

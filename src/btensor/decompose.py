@@ -93,7 +93,7 @@ def decompose_b(A: Tensor) -> Decomposition:
     diagonal-dominance slack of the transform.
     """
     stats_a = row_stats(A)
-    witness = classes._b_witness(A, stats_a)
+    witness = classes._b_witness(stats_a)
     if witness is not None:
         raise ClassViolationError(
             f"not a B-tensor: row {witness['row']} has row sum {witness['lhs']} "
@@ -121,7 +121,7 @@ def decompose_doubly_b(A: Tensor) -> Decomposition:
     (the smaller root of the associated quadratic).
     """
     stats_a = row_stats(A)
-    witness = classes._doubly_b_witness(A, stats_a)
+    witness = classes._doubly_b_witness(stats_a)
     if witness is not None:
         where = f"row {witness['row']}" if "row" in witness else f"pair {witness['pair']}"
         raise ClassViolationError(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classes
-from .core import DEFAULT_ENTRY_CAP, Tensor, is_symmetric, lower_excesses, row_stats, upper_deficits
+from .core import DEFAULT_ENTRY_CAP, Tensor, _as_int, is_symmetric, row_stats
 from .errors import ClassViolationError, InputError, InternalError, PreconditionError
 
 
@@ -76,7 +76,9 @@ class IntervalUnion:
 @dataclass(frozen=True)
 class DefinitenessVerdict:
     verdict: str  # positive_definite | positive_semidefinite | indefinite_possible
-    method: str   # B_test | interval_lower_bound
+    # B_test when the bound is positive: the B test and a positive interval
+    # lower bound are one inequality; interval_lower_bound otherwise
+    method: str
     bound: float | None = None
 
     def to_json_dict(self):
@@ -101,11 +103,12 @@ def intervals_z(A: Tensor) -> IntervalUnion:
 
 def _row_bounds(A):
     """Per-row endpoints L_i = diag - r_plus - upper deficit and
-    U_i = diag - r_minus + lower excess; always L_i <= diag_i <= U_i."""
+    U_i = diag - r_minus + lower excess, computed in the closed form
+    L_i = row_sum_i - n**(m-1) r_plus_i, U_i = row_sum_i - n**(m-1) r_minus_i
+    (see :class:`~btensor.core.RowStats`); in exact arithmetic
+    L_i <= diag_i <= U_i."""
     stats = row_stats(A)
-    lows = stats.diag - stats.r_plus - upper_deficits(A, stats)
-    highs = stats.diag - stats.r_minus + lower_excesses(A, stats)
-    return lows, highs
+    return stats.lows, stats.highs
 
 
 def intervals_even_symmetric(A: Tensor) -> IntervalUnion:
@@ -153,17 +156,19 @@ class Hypergraph:
     edges: tuple
 
     def __init__(self, n, m, edges):
-        if not isinstance(n, int) or n < 1:
-            raise InputError(f"vertex count must be a positive integer, got {n!r}")
-        if not isinstance(m, int) or m < 2:
-            raise InputError(f"edge cardinality must be an integer >= 2, got {m!r}")
+        n = _as_int(n, "vertex count")
+        if n < 1:
+            raise InputError(f"vertex count must be positive, got {n}")
+        m = _as_int(m, "edge cardinality")
+        if m < 2:
+            raise InputError(f"edge cardinality must be at least 2, got {m}")
         canon = []
         seen = set()
         for edge in edges:
-            vertices = tuple(sorted(edge))
+            vertices = tuple(sorted(_as_int(v, "edge vertex") for v in edge))
             if len(vertices) != m or len(set(vertices)) != m:
                 raise InputError(f"edge {list(edge)} must have exactly {m} distinct vertices")
-            if any(not isinstance(v, int) or not 1 <= v <= n for v in vertices):
+            if not all(1 <= v <= n for v in vertices):
                 raise InputError(f"edge {list(edge)} has vertices outside [1, {n}]")
             if vertices in seen:
                 raise InputError(f"duplicate edge {list(vertices)}")
@@ -218,29 +223,28 @@ def laplacian_tensor(G: Hypergraph, entry_cap=DEFAULT_ENTRY_CAP) -> Tensor:
 
 def laplacian_bounds(G: Hypergraph) -> Interval:
     """Spectral enclosure [0, 2 * max degree] for the hypergraph Laplacian."""
-    degrees = G.degrees
-    top = float(degrees.max()) if G.n else 0.0
-    return Interval(0.0, 2.0 * top)
+    return Interval(0.0, 2.0 * float(G.degrees.max()))
 
 
 def definiteness(A: Tensor) -> DefinitenessVerdict:
     """Sufficient positive (semi-)definiteness verdicts for an even-order
-    symmetric tensor.
+    symmetric tensor, decided by the lower endpoint min L of its
+    localization interval.
 
-    A B-tensor is reported positive definite outright; otherwise the
-    lower endpoint of the symmetric localization interval decides.  The
-    fallback verdict ``indefinite_possible`` never claims indefiniteness.
+    L_i = row_sum_i - n**(m-1) r_plus_i is also the B-tensor margin of row
+    i, so a positive bound and the B test are one inequality, bitwise too
+    (a rounded x - y is positive exactly when x > y): the tensor is a
+    positive definite B-tensor, reported with method ``B_test`` and no
+    bound.  A zero bound gives ``positive_semidefinite``; a negative one
+    the fallback ``indefinite_possible``, which never claims indefiniteness.
     """
     if A.order % 2 != 0:
         raise PreconditionError(f"order must be even, got {A.order}")
     if not is_symmetric(A):
         raise PreconditionError("tensor must be symmetric")
-    if classes.is_b(A):
-        return DefinitenessVerdict("positive_definite", "B_test")
-    lows, _ = _row_bounds(A)
-    bound = float(lows.min())
+    bound = float(row_stats(A).lows.min())
     if bound > 0.0:
-        return DefinitenessVerdict("positive_definite", "interval_lower_bound", bound)
+        return DefinitenessVerdict("positive_definite", "B_test")
     if bound >= 0.0:
         return DefinitenessVerdict("positive_semidefinite", "interval_lower_bound", bound)
     return DefinitenessVerdict("indefinite_possible", "interval_lower_bound", bound)

@@ -369,7 +369,7 @@ def _batched_fixed_point(rows, m, starts, alpha0, tol, max_iter=10_000):
                 break
         X = _canonical_rows(Xn)
 
-    for i in range(X.shape[0] if isinstance(X, np.ndarray) else 0):
+    for i in range(X.shape[0]):
         if best_res[i] <= tol:
             finished[order[i]] = best_X[i]
     return [finished[i] for i in sorted(finished)]

@@ -155,6 +155,32 @@ class TestClassify:
         assert set(blob["flags"]) == set(bt.classes.FLAG_NAMES)
 
 
+class TestBoundaryTies:
+    """Dyadic order-3 dim-2 inputs (row 1 is the first four entries) where
+    both sides of each inequality are exact in every formula for them, so
+    strict tests must fail on the tie."""
+
+    def test_b_row_tie_and_doubly_b_pair_tie(self):
+        A = bt.Tensor(3, 2, [1.5, 0.5, 0.25, -0.25, 1.0, 0.0, 0.5, 2.5])
+        report = bt.classify(A)
+        # row sums 2 and 4 equal 4 * r_plus exactly (r_plus = 0.5 and 1)
+        assert not report.flags["B"] and report.flags["B0"]
+        assert report.witnesses["B"] == {"row": 1, "lhs": 2.0, "rhs": 2.0, "margin": 0.0}
+        # diagonal gaps 1 and 1.5, upper deficits 1 and 1.5: equal products
+        assert not report.flags["doublyB"]
+        assert report.witnesses["doublyB"] == {
+            "pair": [1, 2], "lhs": 1.5, "rhs": 1.5, "margin": 0.0}
+
+    def test_f_b_tie_on_negative_diagonal(self):
+        # row 1: |diag - r_minus| = 1.5 equals the lower excess 0 + 1 + 0.5
+        A = bt.Tensor(3, 2, [-2.0, -0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 4.0])
+        report = bt.classify(A)
+        assert not report.flags["F_B"] and report.flags["F_doublyB"]
+        assert report.witnesses["F_B"] == {"row": 1, "lhs": 1.5, "rhs": 1.5, "margin": 0.0}
+        F = bt.f_transform(A)
+        assert not bt.is_b(F) and bt.is_doubly_b(F)
+
+
 def _ladder_instances(rng, count):
     makers = (random_tensor, random_z, random_sdd_z, random_sddd_z, random_b,
               random_doubly_b, random_mixed_diag)

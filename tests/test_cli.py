@@ -132,6 +132,13 @@ class TestFailurePaths:
         code, _, err = run_main(capsys, ["classify", str(path)])
         assert code == 2
 
+    def test_laplacian_boolean_vertex_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text('{"n": 3, "m": 2, "edges": [[true, 2]]}')
+        code, out, err = run_main(capsys, ["laplacian", str(path)])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "input"
+
     def test_method_tensor_mismatch_exits_3(self, capsys, ones43_path):
         code, _, err = run_main(capsys, ["intervals", "--method", "odd-n2",
                                          ones43_path])

@@ -1,5 +1,7 @@
 """Localization intervals, hypergraph Laplacians, and definiteness verdicts."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,6 +219,15 @@ class TestLaplacian:
         with pytest.raises(bt.InputError):
             bt.Hypergraph(3, 3, [(1, 2, 3), (3, 2, 1)])
 
+    def test_validation_rejects_non_integers(self):
+        # JSON true is not the integer 1, and 1.0 is not an integer at all
+        with pytest.raises(bt.InputError):
+            bt.Hypergraph(True, 2, [])
+        with pytest.raises(bt.InputError):
+            bt.Hypergraph(3, 2, [(True, 2)])
+        with pytest.raises(bt.InputError, match="integer"):
+            bt.Hypergraph(3, 2, [(1.0, 2)])
+
     def test_json_round_trip(self):
         G = bt.Hypergraph(4, 3, [(1, 2, 4)])
         again = bt.Hypergraph.from_json_dict(G.to_json_dict())
@@ -254,6 +265,48 @@ class TestDefiniteness:
             A = random_symmetric_b(rng, 2 * (1 + k % 2), 2 + k % 3)
             assert bt.is_b(A) and bt.is_symmetric(A)
             assert bt.definiteness(A).verdict == "positive_definite"
+
+    def test_b_tie_is_semidefinite_not_b_test(self):
+        # symmetric, entry set by the count of index 2; row 1 sums to
+        # 6 + 3 * 0.25 - 3 * 0.5 + 0.75 = 6 = 8 * r_plus exactly
+        arr = np.empty((2, 2, 2, 2))
+        for idx in np.ndindex(arr.shape):
+            arr[idx] = (6.0, 0.25, -0.5, 0.75, 8.0)[sum(idx)]
+        A = bt.Tensor.from_array(arr)
+        assert not bt.is_b(A) and bt.is_b0(A)
+        verdict = bt.definiteness(A)
+        assert (verdict.verdict, verdict.method, verdict.bound) == (
+            "positive_semidefinite", "interval_lower_bound", 0.0)
+
+    def test_b_test_agrees_with_row_endpoints(self):
+        rng = np.random.default_rng(29)
+        seen = set()
+        for k in range(120):
+            m, n = (2, 4)[k % 2], 2 + k % 3
+            width = n ** (m - 1)
+            arr = random_symmetric(rng, m, n).array.copy()
+            arr[tuple([np.arange(n)] * m)] += rng.uniform(0.0, 2.0 * width)
+            A = bt.Tensor.from_array(arr)
+            verdict = bt.definiteness(A)
+            assert bt.is_b(A) == (verdict.method == "B_test")
+            seen.add(verdict.method)
+
+            # per-row endpoints from their defining sums over the row
+            lows, highs = bt.eigenloc._row_bounds(A)
+            rows = arr.reshape(n, width)
+            for i in range(n):
+                d = i * (width - 1) // (n - 1)
+                off = np.delete(rows[i], d)
+                r_plus, r_minus = max(0.0, off.max()), min(0.0, off.min())
+                low = rows[i, d] - r_plus - math.fsum(r_plus - off)
+                high = rows[i, d] - r_minus + math.fsum(off - r_minus)
+                ulp = np.spacing(width * np.abs(rows[i]).max())
+                assert abs(lows[i] - low) <= 4 * ulp and abs(highs[i] - high) <= 4 * ulp
+            hull = bt.intervals_even_symmetric(A).parts[0]
+            assert (hull.lo, hull.hi) == (lows.min(), highs.max())
+            if verdict.method != "B_test":
+                assert verdict.bound == lows.min()
+        assert seen == {"B_test", "interval_lower_bound"}
 
 
 class TestSoundnessSpotChecks:

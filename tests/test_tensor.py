@@ -1,5 +1,7 @@
 """Tensor storage, contraction, row statistics, and slicing."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,12 @@ class TestConstruction:
         A = bt.Tensor.ones(3, 2)
         with pytest.raises(ValueError):
             A.array[0, 0, 0] = 5.0
+
+    def test_input_is_copied(self):
+        entries = np.ones((2, 2, 2))
+        A = bt.Tensor.from_array(entries)
+        entries[0, 0, 0] = 5.0
+        assert A.entry(1, 1, 1) == 1.0
 
     def test_entry_accessor_is_one_based(self):
         t43 = make_t43()
@@ -190,6 +198,31 @@ class TestRowStats:
         for field in ("diag", "r_plus", "r_minus", "row_sum", "off_diag_abs_sum"):
             assert np.array_equal(getattr(st_a, field), getattr(st_b, field))
 
+    def test_closed_forms_match_row_sums(self):
+        rng = np.random.default_rng(13)
+        constant = np.full((3, 3, 3), -0.1)
+        constant[0, 0, 0], constant[1, 1, 1], constant[2, 2, 2] = -1.0, 0.0, 1.0
+        samples = [bt.Tensor.from_array(constant)]
+        samples += [random_tensor(rng, 2 + k % 3, 2 + k % 3) for k in range(30)]
+        for A in samples:
+            st_ = bt.row_stats(A)
+            n, width = A.dim, A.dim ** (A.order - 1)
+            assert st_.width == width
+            rows = A.array.reshape(n, width)
+            for i in range(n):
+                d = i * (width - 1) // (n - 1)
+                off = np.delete(rows[i], d)
+                want = {
+                    "upper_deficit": math.fsum(st_.r_plus[i] - off),
+                    "lower_excess": math.fsum(off - st_.r_minus[i]),
+                    "signed_deficit": math.fsum(abs(st_.r_signed[i] - off)),
+                }
+                ulp = np.spacing(width * np.abs(rows[i]).max())
+                for field, value in want.items():
+                    assert abs(getattr(st_, field)[i] - value) <= 4 * ulp, field
+            # sums of nonnegative terms stay nonnegative after rounding
+            assert np.all(st_.upper_deficit >= 0.0) and np.all(st_.lower_excess >= 0.0)
+
     def test_dim_one_tensor(self):
         A = bt.Tensor(3, 1, [4.0])
         st_ = bt.row_stats(A)
@@ -250,3 +283,22 @@ class TestSymmetry:
         A = bt.Tensor.from_array(arr)
         assert not bt.is_symmetric(A)
         assert bt.is_symmetric(A, tol=1e-10)
+
+    def test_rejects_invariance_under_a_proper_subgroup(self):
+        rng = np.random.default_rng(12)
+        base = rng.integers(-4, 5, size=(3,) * 4).astype(float)
+        # invariant under the axis swaps (0 1) and (2 3), not under (1 2)
+        klein = sum(np.transpose(base, p) for p in
+                    [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)])
+        assert np.array_equal(klein, np.swapaxes(klein, 0, 1))
+        assert np.array_equal(klein, np.swapaxes(klein, 2, 3))
+        assert not np.array_equal(klein, np.swapaxes(klein, 1, 2))
+        # invariant under the 3-cycle of axes, not under a transposition
+        base = rng.integers(-4, 5, size=(3,) * 3).astype(float)
+        cyclic = sum(np.transpose(base, p) for p in [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+        assert np.array_equal(cyclic, np.transpose(cyclic, (1, 2, 0)))
+        assert not np.array_equal(cyclic, np.swapaxes(cyclic, 0, 1))
+        for arr in (klein, cyclic):
+            A = bt.Tensor.from_array(arr)
+            assert not bt.is_symmetric(A)
+            assert not bt.is_symmetric(A, tol=0.5)
