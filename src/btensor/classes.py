@@ -110,21 +110,21 @@ def _f_checks(stats):
     r = stats.r_signed
     diag_ok = _first_failing_row(np.abs(stats.diag), np.abs(r))
     gaps = np.abs(stats.diag - r)
-    return diag_ok, gaps, stats.signed_deficit
+    return diag_ok, gaps
 
 
 def _f_b_witness(stats):
-    diag_bad, gaps, deficits = _f_checks(stats)
+    diag_bad, gaps = _f_checks(stats)
     if diag_bad is not None:
         return diag_bad
-    return _first_failing_row(gaps, deficits)
+    return _first_failing_row(gaps, stats.signed_deficit)
 
 
 def _f_doubly_b_witness(stats):
-    diag_bad, gaps, deficits = _f_checks(stats)
+    diag_bad, gaps = _f_checks(stats)
     if diag_bad is not None:
         return diag_bad
-    return _first_failing_pair(gaps, deficits)
+    return _first_failing_pair(gaps, stats.signed_deficit)
 
 
 def is_z(A: Tensor) -> bool:

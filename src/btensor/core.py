@@ -9,6 +9,7 @@ the boundary only.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,23 +179,24 @@ class RowStats:
     ``r_plus`` is the largest off-diagonal row entry clamped below at 0,
     ``r_minus`` the smallest clamped above at 0, and ``r_signed`` selects
     ``r_plus``, 0 or ``r_minus`` according to the sign of the diagonal.
-    ``width`` is W = n**(m-1), the number of entries in a row.
+    ``off_diag_sum`` is ``row_sum - diag``; ``width`` is W = n**(m-1).
 
-    Every per-row quantity the class tests and the intervals need follows
-    from these fields in O(n), by summing the off-diagonal terms in closed
-    form:
+    The rest is in closed form from the off-diagonal sum S, summed directly
+    so that a large diagonal cannot absorb the other entries:
 
-    * ``upper_deficit``: the sum of (r_plus - a) = (W - 1) r_plus - off_diag_sum;
-    * ``lower_excess``: the sum of (a - r_minus) = off_diag_sum - (W - 1) r_minus;
-    * ``signed_deficit``: the sum of |r_signed - a|, which is the upper deficit
-      on rows with a positive diagonal, the lower excess on rows with a
-      negative one and ``off_diag_abs_sum`` on rows with a zero diagonal;
+    * ``upper_deficit``, the sum of (r_plus - a), is (W - 1) r_plus - S;
+    * ``lower_excess``, the sum of (a - r_minus), is S - (W - 1) r_minus;
+    * ``signed_deficit``, the sum of |r_signed - a|, is the upper deficit,
+      the lower excess or ``off_diag_abs_sum`` for a positive, negative or
+      zero diagonal;
     * ``lows``: L = diag - r_plus - upper deficit = row_sum - W r_plus, the
-      B-tensor margin;
-    * ``highs``: U = diag - r_minus + lower excess = row_sum - W r_minus.
+      B-tensor margin; ``highs``: U = diag - r_minus + lower excess =
+      row_sum - W r_minus.
 
-    The deficit and excess are nonnegative sums, so a rounding error that
-    would make one negative is clamped to 0.
+    A deficit (excess) is ``off_diag_abs_sum`` itself where r_plus (r_minus)
+    is 0, so on Z-tensors doubly B and SDDD compare the same floats; else it
+    is clamped at 0 against rounding.  Where 2 W max|a| could overflow, the
+    closed forms are taken on rows scaled by a power of two and scaled back.
     """
 
     diag: np.ndarray
@@ -204,28 +206,12 @@ class RowStats:
     row_sum: np.ndarray
     off_diag_sum: np.ndarray
     off_diag_abs_sum: np.ndarray
+    upper_deficit: np.ndarray
+    lower_excess: np.ndarray
+    signed_deficit: np.ndarray
+    lows: np.ndarray
+    highs: np.ndarray
     width: float
-
-    @property
-    def upper_deficit(self):
-        return np.maximum((self.width - 1.0) * self.r_plus - self.off_diag_sum, 0.0)
-
-    @property
-    def lower_excess(self):
-        return np.maximum(self.off_diag_sum - (self.width - 1.0) * self.r_minus, 0.0)
-
-    @property
-    def signed_deficit(self):
-        return np.where(self.diag > 0, self.upper_deficit,
-                        np.where(self.diag < 0, self.lower_excess, self.off_diag_abs_sum))
-
-    @property
-    def lows(self):
-        return self.row_sum - self.width * self.r_plus
-
-    @property
-    def highs(self):
-        return self.row_sum - self.width * self.r_minus
 
 
 def row_stats(A: Tensor) -> RowStats:
@@ -244,8 +230,8 @@ def row_stats(A: Tensor) -> RowStats:
     scratch[idx, pos] = 0.0
     off_diag_abs_sum = scratch.sum(axis=1)
 
+    np.copyto(scratch, rows)
     if width > 1:
-        np.copyto(scratch, rows)
         scratch[idx, pos] = -np.inf
         r_plus = np.maximum(0.0, scratch.max(axis=1))
         scratch[idx, pos] = np.inf
@@ -253,9 +239,35 @@ def row_stats(A: Tensor) -> RowStats:
     else:
         r_plus = np.zeros(n)
         r_minus = np.zeros(n)
-    r_signed = np.where(diag > 0, r_plus, np.where(diag < 0, r_minus, 0.0))
+    positive, negative = diag > 0, diag < 0
+    r_signed = np.where(positive, r_plus, np.where(negative, r_minus, 0.0))
 
-    fields = (diag, r_plus, r_minus, r_signed, row_sum, off_diag_sum, off_diag_abs_sum)
+    # The closed forms reach 2 W max|a|; k > 0 scales them below DBL_MAX.
+    # Scaling by a power of two is exact, and with k = 0 no bit changes.
+    # (max|a| over O(n) values in Python: cheaper than numpy at desk size.)
+    top = max(map(abs, diag.tolist() + r_plus.tolist() + r_minus.tolist()))
+    k = max(0, math.frexp(top)[1] + math.frexp(width)[1] - 1021)
+    total, plus, minus = row_sum, r_plus, r_minus
+    if k:
+        np.ldexp(rows, -k, out=scratch)
+        total = scratch.sum(axis=1)
+        plus, minus = np.ldexp(r_plus, -k), np.ldexp(r_minus, -k)
+    scratch[idx, pos] = 0.0
+    off_sum = scratch.sum(axis=1)
+    closed = (np.maximum((width - 1) * plus - off_sum, 0.0),
+              np.maximum(off_sum - (width - 1) * minus, 0.0),
+              total - width * plus, total - width * minus)
+    if k:
+        with np.errstate(over="ignore"):
+            closed = [np.ldexp(v, k) for v in closed]
+    upper, lower, lows, highs = closed
+    upper_deficit = np.where(r_plus == 0.0, off_diag_abs_sum, upper)
+    lower_excess = np.where(r_minus == 0.0, off_diag_abs_sum, lower)
+    signed_deficit = np.where(positive, upper_deficit,
+                              np.where(negative, lower_excess, off_diag_abs_sum))
+
+    fields = (diag, r_plus, r_minus, r_signed, row_sum, off_diag_sum, off_diag_abs_sum,
+              upper_deficit, lower_excess, signed_deficit, lows, highs)
     for f in fields:
         f.setflags(write=False)
     return RowStats(*fields, width=float(width))

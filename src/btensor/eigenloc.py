@@ -76,9 +76,7 @@ class IntervalUnion:
 @dataclass(frozen=True)
 class DefinitenessVerdict:
     verdict: str  # positive_definite | positive_semidefinite | indefinite_possible
-    # B_test when the bound is positive: the B test and a positive interval
-    # lower bound are one inequality; interval_lower_bound otherwise
-    method: str
+    method: str   # B_test (bound > 0: the same inequality) | interval_lower_bound
     bound: float | None = None
 
     def to_json_dict(self):
@@ -101,30 +99,21 @@ def intervals_z(A: Tensor) -> IntervalUnion:
     return IntervalUnion.from_intervals(parts)
 
 
-def _row_bounds(A):
-    """Per-row endpoints L_i = diag - r_plus - upper deficit and
-    U_i = diag - r_minus + lower excess, computed in the closed form
-    L_i = row_sum_i - n**(m-1) r_plus_i, U_i = row_sum_i - n**(m-1) r_minus_i
-    (see :class:`~btensor.core.RowStats`); in exact arithmetic
-    L_i <= diag_i <= U_i."""
-    stats = row_stats(A)
-    return stats.lows, stats.highs
-
-
 def intervals_even_symmetric(A: Tensor) -> IntervalUnion:
     """Single enclosing interval for the H-eigenvalues of an even-order
     symmetric tensor.
 
-    The underlying bound is a union of [L_i, U_j] over all row pairs, but
-    since L_i <= U_i for every row, that union is exactly
-    [min L, max U]; only the single interval is returned.
+    The underlying bound is a union of [L_i, U_j] over all row pairs (L, U
+    as in :class:`~btensor.core.RowStats`), but since L_i <= U_i for every
+    row, that union is exactly [min L, max U]; only it is returned.
     """
     if A.order % 2 != 0:
         raise PreconditionError(f"order must be even, got {A.order}")
     if not is_symmetric(A):
         raise PreconditionError("tensor must be symmetric")
-    lows, highs = _row_bounds(A)
-    return IntervalUnion.from_intervals([Interval(float(lows.min()), float(highs.max()))])
+    stats = row_stats(A)
+    return IntervalUnion.from_intervals(
+        [Interval(float(stats.lows.min()), float(stats.highs.max()))])
 
 
 def intervals_odd_or_n2(A: Tensor) -> IntervalUnion:
@@ -133,8 +122,8 @@ def intervals_odd_or_n2(A: Tensor) -> IntervalUnion:
     if A.order % 2 == 0 and A.dim != 2:
         raise PreconditionError(
             f"order {A.order} is even and dim {A.dim} != 2; bound not applicable")
-    lows, highs = _row_bounds(A)
-    parts = [Interval(float(lo), float(hi)) for lo, hi in zip(lows, highs)]
+    stats = row_stats(A)
+    parts = [Interval(float(lo), float(hi)) for lo, hi in zip(stats.lows, stats.highs)]
     return IntervalUnion.from_intervals(parts)
 
 
@@ -237,6 +226,9 @@ def definiteness(A: Tensor) -> DefinitenessVerdict:
     positive definite B-tensor, reported with method ``B_test`` and no
     bound.  A zero bound gives ``positive_semidefinite``; a negative one
     the fallback ``indefinite_possible``, which never claims indefiniteness.
+
+    Near DBL_MAX, L comes from power-of-two scaled rows and can stay
+    positive where :func:`~btensor.classes.is_b` compares inf with inf.
     """
     if A.order % 2 != 0:
         raise PreconditionError(f"order must be even, got {A.order}")

@@ -181,6 +181,36 @@ class TestBoundaryTies:
         assert not bt.is_b(F) and bt.is_doubly_b(F)
 
 
+class TestLargeDiagonal:
+    """A diagonal far above the rest of its row must not absorb the
+    off-diagonal entries of the deficit sums."""
+
+    def test_z_tensor_pair_test_sees_small_entries(self):
+        # row 1 (1e16, -1): gap 1e16, deficit 1; row 2 (-2e16, 1): gap 1,
+        # deficit 2e16; 1e16 * 1 < 1 * 2e16, so neither doubly B nor SDDD
+        A = bt.Tensor(2, 2, [1e16, -1.0, -2e16, 1.0])
+        report = bt.classify(A)
+        assert report.flags["Z"] and not report.flags["doublyB"]
+        assert not report.flags["SDDD"]
+        assert report.witnesses["doublyB"] == report.witnesses["SDDD"] == {
+            "pair": [1, 2], "lhs": 1e16, "rhs": 2e16, "margin": -1e16}
+        assert not bt.is_doubly_b(A)
+        with pytest.raises(bt.ClassViolationError):
+            bt.decompose_doubly_b(A)
+
+    def test_f_doubly_b_with_large_negative_diagonal(self):
+        # order 3, dim 2.  Row 1: diagonal -1e16, off-diagonal (1, 1, -1), so
+        # r_minus = -1 and the lower excess is 2 + 2 + 0 = 4.  Row 2: diagonal
+        # 1, off-diagonal -1e15 three times, deficit 3e15.  Gap products
+        # 1e16 * 1 < 4 * 3e15, so the flipped tensor is not doubly B.
+        A = bt.Tensor(3, 2, [-1e16, 1.0, 1.0, -1.0, -1e15, -1e15, -1e15, 1.0])
+        report = bt.classify(A)
+        assert not report.flags["F_doublyB"]
+        assert report.witnesses["F_doublyB"] == {
+            "pair": [1, 2], "lhs": 1e16, "rhs": 1.2e16, "margin": 1e16 - 1.2e16}
+        assert not bt.is_doubly_b(bt.f_transform(A))
+
+
 def _ladder_instances(rng, count):
     makers = (random_tensor, random_z, random_sdd_z, random_sddd_z, random_b,
               random_doubly_b, random_mixed_diag)

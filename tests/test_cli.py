@@ -176,3 +176,20 @@ class TestDeterminism:
             capture_output=True, text=True)
         assert result.returncode == 0
         assert json.loads(result.stdout)["flags"]["SDD"] is True
+
+
+class TestNearOverflow:
+    @pytest.mark.parametrize("method, dense", [
+        ("odd-n2", [1e308, 1e308, -1e308, 1e308]),
+        ("even-sym", [1e308, 1e308, 1e308, 1e308]),
+    ])
+    def test_intervals_keep_their_finite_lower_end(self, tmp_path, method, dense):
+        # the row sums overflow, but L = diag - r_plus - deficit is 0 in both
+        # rows; only the upper end U exceeds DBL_MAX
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"order": 2, "dim": 2, "dense": dense}))
+        result = subprocess.run(
+            [sys.executable, "-m", "btensor.cli", "intervals", "--method", method,
+             str(path)], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == {"parts": [{"lo": 0.0, "hi": float("inf")}]}

@@ -204,6 +204,12 @@ class TestRowStats:
         constant[0, 0, 0], constant[1, 1, 1], constant[2, 2, 2] = -1.0, 0.0, 1.0
         samples = [bt.Tensor.from_array(constant)]
         samples += [random_tensor(rng, 2 + k % 3, 2 + k % 3) for k in range(30)]
+        # a diagonal of either sign far above the rest of its row
+        for k in range(12):
+            arr = random_tensor(rng, 2 + k % 3, 2 + k % 2).array.copy()
+            n = arr.shape[0]
+            arr[tuple([np.arange(n)] * arr.ndim)] *= 1e17 * rng.choice([-1.0, 1.0], n)
+            samples.append(bt.Tensor.from_array(arr))
         for A in samples:
             st_ = bt.row_stats(A)
             n, width = A.dim, A.dim ** (A.order - 1)
@@ -217,11 +223,36 @@ class TestRowStats:
                     "lower_excess": math.fsum(off - st_.r_minus[i]),
                     "signed_deficit": math.fsum(abs(st_.r_signed[i] - off)),
                 }
-                ulp = np.spacing(width * np.abs(rows[i]).max())
+                # the error scale is the off-diagonal part of the row alone
+                ulp = np.spacing(width * np.abs(off).max())
                 for field, value in want.items():
                     assert abs(getattr(st_, field)[i] - value) <= 4 * ulp, field
+                # the endpoints carry the diagonal, through the row sum
+                ulp = np.spacing(width * np.abs(rows[i]).max())
+                low = rows[i, d] - st_.r_plus[i] - want["upper_deficit"]
+                high = rows[i, d] - st_.r_minus[i] + want["lower_excess"]
+                assert abs(st_.lows[i] - low) <= 4 * ulp
+                assert abs(st_.highs[i] - high) <= 4 * ulp
             # sums of nonnegative terms stay nonnegative after rounding
             assert np.all(st_.upper_deficit >= 0.0) and np.all(st_.lower_excess >= 0.0)
+
+    def test_closed_forms_scale_exactly_near_overflow(self):
+        # once W * max|a| nears DBL_MAX, W * r_plus alone can overflow; the
+        # closed forms are then evaluated on the rows scaled by a power of
+        # two, which must give the exactly scaled result, overflowing to
+        # infinity only where that result exceeds DBL_MAX
+        rng = np.random.default_rng(17)
+        fields = ("upper_deficit", "lower_excess", "signed_deficit", "lows", "highs")
+        for k in range(12):
+            A = random_tensor(rng, 2 + k % 3, 2 + k % 2)
+            width = A.dim ** (A.order - 1)
+            shift = 1024 + k % 2 - math.frexp(width * np.abs(A.array).max())[1]
+            B = bt.Tensor.from_array(np.ldexp(A.array, shift))
+            st_a, st_b = bt.row_stats(A), bt.row_stats(B)
+            for field in fields:
+                with np.errstate(over="ignore"):
+                    want = np.ldexp(getattr(st_a, field), shift)
+                assert np.array_equal(getattr(st_b, field), want), field
 
     def test_dim_one_tensor(self):
         A = bt.Tensor(3, 1, [4.0])
