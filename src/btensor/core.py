@@ -8,7 +8,6 @@ the boundary only.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,7 +48,10 @@ class Tensor:
                 f"tensor with dim {dim} and order {order} needs {count} entries, "
                 f"above the cap of {entry_cap}"
             )
-        arr = np.array(entries, dtype=np.float64, order="C")
+        try:
+            arr = np.array(entries, dtype=np.float64, order="C")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"tensor entries must be real numbers: {exc}") from None
         if arr.size != count:
             raise InputError(
                 f"expected {count} entries for order {order}, dim {dim}; got {arr.size}"
@@ -152,11 +154,14 @@ class Tensor:
             raise InputError(f"tensor exceeds the entry cap of {entry_cap}")
         arr = np.zeros((dim,) * order)
         seen = set()
-        for record in obj["sparse"]:
+        records = obj["sparse"]
+        if not isinstance(records, (list, tuple)):
+            raise InputError("'sparse' must be a list of records")
+        for record in records:
             if not isinstance(record, dict) or "idx" not in record or "val" not in record:
                 raise InputError("sparse records must look like {'idx': [...], 'val': v}")
             idx = record["idx"]
-            if len(idx) != order:
+            if not isinstance(idx, (list, tuple)) or len(idx) != order:
                 raise InputError(f"sparse index {idx} needs {order} components")
             zero_based = []
             for i in idx:
@@ -168,7 +173,11 @@ class Tensor:
             if key in seen:
                 raise InputError(f"duplicate sparse index {list(idx)}")
             seen.add(key)
-            arr[key] = record["val"]
+            try:
+                arr[key] = record["val"]
+            except (TypeError, ValueError, OverflowError):
+                raise InputError(
+                    f"sparse value {record['val']!r} must be a real number") from None
         return cls(order, dim, arr, entry_cap=entry_cap)
 
 
@@ -179,7 +188,7 @@ class RowStats:
     ``r_plus`` is the largest off-diagonal row entry clamped below at 0,
     ``r_minus`` the smallest clamped above at 0, and ``r_signed`` selects
     ``r_plus``, 0 or ``r_minus`` according to the sign of the diagonal.
-    ``off_diag_sum`` is ``row_sum - diag``; ``width`` is W = n**(m-1).
+    ``width`` is W = n**(m-1).
 
     The rest is in closed form from the off-diagonal sum S, summed directly
     so that a large diagonal cannot absorb the other entries:
@@ -204,7 +213,6 @@ class RowStats:
     r_minus: np.ndarray
     r_signed: np.ndarray
     row_sum: np.ndarray
-    off_diag_sum: np.ndarray
     off_diag_abs_sum: np.ndarray
     upper_deficit: np.ndarray
     lower_excess: np.ndarray
@@ -224,7 +232,6 @@ def row_stats(A: Tensor) -> RowStats:
     pos = idx * ((width - 1) // (n - 1)) if n > 1 else idx
     diag = rows[idx, pos].copy()
     row_sum = rows.sum(axis=1)
-    off_diag_sum = row_sum - diag
 
     scratch = np.abs(rows)
     scratch[idx, pos] = 0.0
@@ -266,7 +273,7 @@ def row_stats(A: Tensor) -> RowStats:
     signed_deficit = np.where(positive, upper_deficit,
                               np.where(negative, lower_excess, off_diag_abs_sum))
 
-    fields = (diag, r_plus, r_minus, r_signed, row_sum, off_diag_sum, off_diag_abs_sum,
+    fields = (diag, r_plus, r_minus, r_signed, row_sum, off_diag_abs_sum,
               upper_deficit, lower_excess, signed_deficit, lows, highs)
     for f in fields:
         f.setflags(write=False)
@@ -329,18 +336,12 @@ def principal_subtensor(A: Tensor, members) -> Tensor:
     return Tensor.from_array(sub)
 
 
-def is_symmetric(A: Tensor, tol: float = 0.0) -> bool:
+def is_symmetric(A: Tensor) -> bool:
     """True when the entries are invariant under every index permutation.
 
-    Comparison is exact by default, and then only the m-1 adjacent axis
-    swaps are checked: they generate every permutation.  Pass ``tol`` > 0
-    for an absolute entrywise tolerance; that mode compares against all m!
-    permutations, since closeness under the generators bounds the distance
-    under their products only by a multiple of ``tol``.
+    The comparison is exact, so only the m-1 adjacent axis swaps are
+    checked: they generate every permutation.
     """
     arr = A.array
-    if tol == 0.0:
-        return all(np.array_equal(arr, np.swapaxes(arr, k, k + 1))
-                   for k in range(A.order - 1))
-    return not any(np.max(np.abs(arr - np.transpose(arr, perm))) > tol
-                   for perm in itertools.permutations(range(A.order)))
+    return all(np.array_equal(arr, np.swapaxes(arr, k, k + 1))
+               for k in range(A.order - 1))

@@ -2,9 +2,12 @@
 
 Both constructions shift the row-wise ``a_plus`` transform of A by a
 deterministic epsilon chosen at half of the available slack, so that the
-Z-part stays safely interior to its class.  Every returned decomposition
-is re-verified through the class predicates; a construction that fails
-its own invariants raises instead of returning.
+Z-part stays safely interior to its class.  The slack is in closed form
+from ``row_stats(A)``: the transform's diagonal is diag - r_plus and its
+deficit is ``upper_deficit``.  Every returned decomposition is re-verified
+through the class witnesses, on one ``row_stats`` per part; a part that
+loses its class to rounding raises DegenerateMarginError, any other
+failed invariant InternalError.
 """
 
 from __future__ import annotations
@@ -90,23 +93,23 @@ def decompose_b(A: Tensor) -> Decomposition:
     C holds each row's r_plus off the diagonal and r_plus + epsilon on it,
     so B agrees with the ``a_plus`` transform off the diagonal and sits
     epsilon below its diagonal.  Epsilon is half the smallest
-    diagonal-dominance slack of the transform.
+    diagonal-dominance slack of the transform, min(d - s) / 2 with the
+    transform's diagonal d = diag - r_plus and deficit s = upper_deficit
+    read from ``row_stats(A)``.
     """
-    stats_a = row_stats(A)
-    witness = classes._b_witness(stats_a)
+    stats = row_stats(A)
+    witness = classes._b_witness(stats)
     if witness is not None:
         raise ClassViolationError(
             f"not a B-tensor: row {witness['row']} has row sum {witness['lhs']} "
             f"<= {witness['rhs']}", witness=witness)
 
-    shifted = classes.a_plus(A)
-    stats = row_stats(shifted)
-    slack = stats.diag - stats.off_diag_abs_sum
+    slack = (stats.diag - stats.r_plus) - stats.upper_deficit
     eps = _check_epsilon(float(slack.min()) / 2.0)
 
-    part_b, part_c = _split_off_row_constants(A, stats_a.r_plus.copy(), eps)
+    part_b, part_c = _split_off_row_constants(A, stats.r_plus.copy(), eps)
     dec = Decomposition("B", part_b, part_c, eps)
-    _verify(dec, A, classes.is_b, "B")
+    _verify(dec, A, classes._b_witness, "B")
     return dec
 
 
@@ -115,25 +118,24 @@ def decompose_doubly_b(A: Tensor) -> Decomposition:
     C the nonnegative row-constant-plus-diagonal-epsilon tensor.
 
     The row constants are the r_plus values of A.  Epsilon is half of
-    min(delta, smallest diagonal of the ``a_plus`` transform), where delta
-    is the smallest over row pairs of the largest uniform diagonal
-    decrease that keeps the pairwise dominance product an equality
-    (the smaller root of the associated quadratic).
+    min(delta, min d), with the ``a_plus`` transform's diagonal
+    d = diag - r_plus and deficit s = upper_deficit from ``row_stats(A)``;
+    delta is the smallest over row pairs of the largest uniform diagonal
+    decrease that keeps d_i d_j - s_i s_j an equality (the smaller root of
+    the associated quadratic).  The doubly-B test has just accepted these
+    very floats, so only underflow can leave no positive epsilon.
     """
-    stats_a = row_stats(A)
-    witness = classes._doubly_b_witness(stats_a)
+    stats = row_stats(A)
+    witness = classes._doubly_b_witness(stats)
     if witness is not None:
         where = f"row {witness['row']}" if "row" in witness else f"pair {witness['pair']}"
         raise ClassViolationError(
             f"not a doubly B-tensor: {where} has {witness['lhs']} <= {witness['rhs']}",
             witness=witness)
 
-    shifted = classes.a_plus(A)
-    stats = row_stats(shifted)
-    d = stats.diag
-    s = stats.off_diag_abs_sum
-    n = A.dim
-    if n >= 2:
+    d = stats.diag - stats.r_plus
+    s = stats.upper_deficit
+    if A.dim >= 2:
         di = d[:, None]
         dj = d[None, :]
         products = np.outer(d, d) - np.outer(s, s)
@@ -146,30 +148,35 @@ def decompose_doubly_b(A: Tensor) -> Decomposition:
         delta = np.inf
     eps = _check_epsilon(min(delta, float(d.min())) / 2.0)
 
-    constants = stats_a.r_plus.copy()
+    constants = stats.r_plus.copy()
     part_b, part_c = _split_off_row_constants(A, constants, eps)
     constants.setflags(write=False)
     dec = Decomposition("doublyB", part_b, part_c, eps, row_constants=constants)
-    _verify(dec, A, classes.is_doubly_b, "doubly B")
+    _verify(dec, A, classes._doubly_b_witness, "doubly B")
     return dec
 
 
-def _verify(dec, A, predicate, label):
-    """Post-construction checks; failures raise, never a silent return."""
+def _verify(dec, A, witness, label):
+    """Post-construction checks on one ``row_stats`` per part; failures
+    raise, never a silent return."""
     total = dec.part_b.array + dec.part_c.array
     defect = np.abs(total - A.array)
     limit = 4.0 * np.spacing(np.maximum(np.abs(A.array), np.abs(dec.part_c.array)))
     if np.any(defect > limit):
         raise InternalError(
             "decomposition parts do not reproduce the input to the last ulp")
-    if not classes.is_z(dec.part_b):
+    stats_b = row_stats(dec.part_b)
+    if classes._z_witness(stats_b) is not None:
         raise InternalError("decomposition Z-part has a positive off-diagonal entry")
-    if not predicate(dec.part_b):
-        raise InternalError(f"decomposition Z-part is not a {label}-tensor")
+    # with epsilon from the class test, only a margin at rounding level fails
+    if witness(stats_b) is not None:
+        raise DegenerateMarginError(
+            f"decomposition Z-part is not a {label}-tensor after rounding")
     if not np.all(dec.part_c.array >= 0.0):
         raise InternalError("decomposition remainder has a negative entry")
-    if not predicate(dec.part_c):
-        raise InternalError(f"decomposition remainder is not a {label}-tensor")
+    if witness(row_stats(dec.part_c)) is not None:
+        raise DegenerateMarginError(
+            f"decomposition remainder is not a {label}-tensor after rounding")
     if dec.kind == "doublyB":
         expected = np.broadcast_to(
             dec.row_constants.reshape((A.dim,) + (1,) * (A.order - 1)), A.array.shape

@@ -84,9 +84,13 @@ class DefinitenessVerdict:
 
 
 def intervals_z(A: Tensor) -> IntervalUnion:
-    """Row intervals [row sum, diag - off-diagonal sum] for a Z-tensor.
+    """Real-eigenvalue enclosure for a Z-tensor.
 
-    Every real eigenvalue of the tensor lies in the merged union.
+    The row intervals [row sum, diag - off-diagonal sum] are, on a
+    Z-tensor, the Gerschgorin discs [diag - R_i, diag + R_i] with R_i the
+    absolute off-diagonal sum, so the merged union returned here is the
+    Gerschgorin union once the Z check has passed.  Every real eigenvalue
+    of the tensor lies in it.
     """
     stats = row_stats(A)
     z_witness = classes._z_witness(stats)
@@ -94,9 +98,7 @@ def intervals_z(A: Tensor) -> IntervalUnion:
         raise ClassViolationError(
             f"not a Z-tensor: row {z_witness['row']} has a positive off-diagonal "
             f"entry {z_witness['lhs']}", witness=z_witness)
-    parts = [Interval(float(lo), float(hi))
-             for lo, hi in zip(stats.row_sum, stats.diag - stats.off_diag_sum)]
-    return IntervalUnion.from_intervals(parts)
+    return _gerschgorin_union(stats)
 
 
 def intervals_even_symmetric(A: Tensor) -> IntervalUnion:
@@ -129,10 +131,20 @@ def intervals_odd_or_n2(A: Tensor) -> IntervalUnion:
 
 def intervals_gerschgorin(A: Tensor) -> IntervalUnion:
     """Classical row discs [diag - absolute off-diagonal sum, diag + same]."""
-    stats = row_stats(A)
+    return _gerschgorin_union(row_stats(A))
+
+
+def _gerschgorin_union(stats):
     parts = [Interval(float(d - s), float(d + s))
              for d, s in zip(stats.diag, stats.off_diag_abs_sum)]
     return IntervalUnion.from_intervals(parts)
+
+
+def _as_list(value, name):
+    try:
+        return list(value)
+    except TypeError:
+        raise InputError(f"{name} must be a list, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -153,12 +165,13 @@ class Hypergraph:
             raise InputError(f"edge cardinality must be at least 2, got {m}")
         canon = []
         seen = set()
-        for edge in edges:
+        for edge in _as_list(edges, "edge list"):
+            edge = _as_list(edge, "edge")
             vertices = tuple(sorted(_as_int(v, "edge vertex") for v in edge))
             if len(vertices) != m or len(set(vertices)) != m:
-                raise InputError(f"edge {list(edge)} must have exactly {m} distinct vertices")
+                raise InputError(f"edge {edge} must have exactly {m} distinct vertices")
             if not all(1 <= v <= n for v in vertices):
-                raise InputError(f"edge {list(edge)} has vertices outside [1, {n}]")
+                raise InputError(f"edge {edge} has vertices outside [1, {n}]")
             if vertices in seen:
                 raise InputError(f"duplicate edge {list(vertices)}")
             seen.add(vertices)

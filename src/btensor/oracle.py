@@ -55,17 +55,6 @@ def residual(A: Tensor, lam: float, x) -> float:
     return float(np.max(np.abs(defect)))
 
 
-def _canonical(x):
-    """Scale to max-norm 1 and flip so the first nonzero component is positive."""
-    x = np.asarray(x, dtype=np.float64)
-    x = x / np.max(np.abs(x))
-    first = x[np.argmax(x != 0.0)]
-    if first < 0:
-        x = -x
-    x.setflags(write=False)
-    return x
-
-
 # ---------------------------------------------------------------------------
 # univariate real roots: square-free reduction, Cauchy bound, bisection
 
@@ -231,13 +220,15 @@ def eigenpairs_n2(A: Tensor, tol: float = 1e-8) -> list[EigenPair]:
 
     pairs = []
     for t in ts:
-        x = _canonical(np.array([1.0, t]))
+        x = _canonical_rows(np.array([[1.0, t]]))[0]
+        x.setflags(write=False)
         lam = _eval(p1, t) + 0.0  # normalizes -0.0
         res = residual(A, lam, x)
         if res <= tol:
             pairs.append(EigenPair(float(lam), x, res))
     if rows[0, -1] == 0.0:
-        x = _canonical(np.array([0.0, 1.0]))
+        x = _canonical_rows(np.array([[0.0, 1.0]]))[0]
+        x.setflags(write=False)
         lam = float(rows[1, -1]) + 0.0
         res = residual(A, lam, x)
         if res <= tol:
@@ -331,21 +322,6 @@ def _batched_fixed_point(rows, m, starts, alpha0, tol, max_iter=10_000):
         best_X[improved] = X[improved]
         last_improve[improved] = it
 
-        done = res <= 0.9 * tol
-        stuck = (it - last_improve > 200) & ~done
-        retire = done | stuck
-        if retire.any():
-            for i in np.nonzero(retire)[0]:
-                if best_res[i] <= tol:
-                    finished[order[i]] = best_X[i]
-            keep = ~retire
-            X, alpha, prev = X[keep], alpha[keep], prev[keep]
-            best_res, best_X = best_res[keep], best_X[keep]
-            last_improve, order, res = last_improve[keep], order[keep], res[keep]
-            Z, XM = Z[keep], XM[keep]
-            if X.shape[0] == 0:
-                break
-
         alpha[res > prev] *= 0.5
         prev = res
         Y = Z + alpha[:, None] * XM
@@ -355,23 +331,19 @@ def _batched_fixed_point(rows, m, starts, alpha0, tol, max_iter=10_000):
             # even component powers lose the sign; keep the current pattern
             signs = np.where(X != 0.0, np.sign(X), 1.0)
             Xn = signs * np.maximum(Y, 0.0) ** power
-        tops = np.max(np.abs(Xn), axis=1)
-        bad = (tops == 0.0) | ~np.all(np.isfinite(Xn), axis=1)
-        if bad.any():
-            for i in np.nonzero(bad)[0]:
-                if best_res[i] <= tol:
-                    finished[order[i]] = best_X[i]
-            keep = ~bad
-            X, alpha, prev = X[keep], alpha[keep], prev[keep]
-            best_res, best_X = best_res[keep], best_X[keep]
+
+        retire = ((res <= 0.9 * tol) | (it - last_improve > 200)
+                  | (np.max(np.abs(Xn), axis=1) == 0.0) | ~np.all(np.isfinite(Xn), axis=1))
+        if retire.any():
+            for i in np.nonzero(retire & (best_res <= tol))[0]:
+                finished[order[i]] = best_X[i]
+            keep = ~retire
+            alpha, prev, best_res, best_X = alpha[keep], prev[keep], best_res[keep], best_X[keep]
             last_improve, order, Xn = last_improve[keep], order[keep], Xn[keep]
-            if X.shape[0] == 0:
-                break
         X = _canonical_rows(Xn)
 
-    for i in range(X.shape[0]):
-        if best_res[i] <= tol:
-            finished[order[i]] = best_X[i]
+    for i in np.nonzero(best_res <= tol)[0]:
+        finished[order[i]] = best_X[i]
     return [finished[i] for i in sorted(finished)]
 
 

@@ -139,6 +139,23 @@ class TestFailurePaths:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "input"
 
+    @pytest.mark.parametrize("verb, text", [
+        ("laplacian", '{"n": 3, "m": 2, "edges": [5]}'),
+        ("classify", '{"order": 2, "dim": 2, "dense": ["a", 1, 2, 3]}'),
+        ("classify", '{"order": 2, "dim": 2, "dense": [[1, 2], [3]]}'),
+        ("classify", '{"order": 2, "dim": 2, "sparse": [{"idx": 5, "val": 1}]}'),
+        ("classify", '{"order": 2, "dim": 2, "sparse": [{"idx": [1, 1], "val": "x"}]}'),
+        ("classify", '{"order": 2, "dim": 2, "sparse": 7}'),
+        ("classify", '{"order": 2, "dim": 1, "dense": [1' + "0" * 400 + ']}'),
+    ], ids=["edge-not-a-list", "dense-string", "dense-ragged", "sparse-idx-not-a-list",
+            "sparse-val-string", "sparse-not-a-list", "dense-int-overflow"])
+    def test_malformed_values_exit_2(self, capsys, tmp_path, verb, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_main(capsys, [verb, str(path)])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "input"
+
     def test_method_tensor_mismatch_exits_3(self, capsys, ones43_path):
         code, _, err = run_main(capsys, ["intervals", "--method", "odd-n2",
                                          ones43_path])

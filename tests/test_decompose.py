@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 import btensor as bt
-from cases import diag_index, make_t42, make_t43, matrix, random_b, random_doubly_b
+from cases import (
+    diag_index,
+    make_t42,
+    make_t43,
+    matrix,
+    random_b,
+    random_doubly_b,
+    random_sddd_z,
+)
 
 
 def assert_reconstructs(dec, A, bitwise):
@@ -38,6 +46,10 @@ def check_doubly_invariants(dec, A, bitwise=True):
         dec.row_constants.reshape((n,) + (1,) * (m - 1)), A.array.shape).copy()
     expected[diag_index(n, m)] = dec.row_constants + dec.epsilon
     assert np.array_equal(dec.part_c.array, expected)
+
+
+def scaled(A, k):
+    return bt.Tensor.from_array(np.ldexp(A.array, k))
 
 
 class TestDecomposeB:
@@ -133,6 +145,55 @@ class TestEpsilonChoice:
         A = bt.Tensor.from_array(np.diag([2.0, 3.0]))
         dec = bt.decompose_doubly_b(A)
         assert dec.epsilon == 1.0  # min(delta, min diag) / 2 = 2 / 2
+
+
+    def test_b_epsilon_is_half_the_transform_slack(self):
+        """Epsilon is min((diag - r_plus) - upper_deficit) / 2 from row_stats(A)."""
+        rng = np.random.default_rng(14)
+        for k in range(60):
+            A = scaled(random_b(rng, 2 + k % 3, 2 + (k + 1) % 3), (-40, 0, 40)[k % 3])
+            st_ = bt.row_stats(A)
+            slack = (st_.diag - st_.r_plus) - st_.upper_deficit
+            assert bt.decompose_b(A).epsilon == float(slack.min()) / 2.0
+
+    def test_doubly_b_margin_is_never_degenerate(self):
+        rng = np.random.default_rng(15)
+        for k in range(90):
+            make = (random_doubly_b, random_sddd_z, random_b)[k % 3]
+            A = scaled(make(rng, 2 + k % 3, 2 + (k // 3) % 3), (-40, 0, 40)[(k // 9) % 3])
+            assert bt.is_doubly_b(A)
+            check_doubly_invariants(bt.decompose_doubly_b(A), A, bitwise=False)
+
+    def test_rounding_level_margins_raise_typed_errors(self):
+        """Members whose margin is at rounding level split or raise
+        DegenerateMarginError; neither decomposition raises InternalError."""
+        rng = np.random.default_rng(16)
+        cases = []
+        for k in range(150):
+            m, n = 2 + k % 3, 2 + (k // 3) % 3
+            # row 1 of a B-tensor with row sum W r_plus, rounded
+            arr = random_b(rng, m, n).array.copy()
+            st_ = bt.row_stats(bt.Tensor.from_array(arr))
+            arr[(0,) * m] = st_.width * st_.r_plus[0] - (st_.row_sum[0] - arr[(0,) * m])
+            cases.append((bt.decompose_b, bt.is_b, check_b_invariants, arr))
+            # rows 1, 2 of a doubly B-tensor with d_1 d_2 = s_1 s_2, rounded
+            arr = random_doubly_b(rng, m, n).array.copy()
+            st_ = bt.row_stats(bt.Tensor.from_array(arr))
+            d, s = st_.diag - st_.r_plus, st_.upper_deficit
+            arr[(0,) * m] = s[0] * s[1] / d[1] + st_.r_plus[0]
+            cases.append((bt.decompose_doubly_b, bt.is_doubly_b, check_doubly_invariants, arr))
+        members = 0
+        for decompose, member, check, arr in cases:
+            A = bt.Tensor.from_array(arr)
+            if not member(A):
+                continue
+            members += 1
+            try:
+                dec = decompose(A)
+            except bt.DegenerateMarginError:
+                continue
+            check(dec, A, bitwise=False)
+        assert members >= 50
 
 
 class TestConverseDirections:

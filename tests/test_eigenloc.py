@@ -16,6 +16,8 @@ from cases import (
     random_symmetric,
     random_symmetric_b,
     random_tensor,
+    random_sdd_z,
+    random_sddd_z,
     random_z,
 )
 
@@ -70,6 +72,17 @@ class TestIntervalsZ:
         # the cross-coupled example has the lone H-eigenvalue 1
         union = bt.intervals_z(make_z32())
         assert union.contains(1.0)
+
+    def test_is_the_gerschgorin_union(self):
+        rng = np.random.default_rng(17)
+        for k in range(120):
+            make = (random_z, random_sdd_z, random_sddd_z)[k % 3]
+            arr = make(rng, 2 + k % 4, 2 + (k // 4) % 4).array.copy()
+            if k % 2:
+                # a diagonal far above its row must not absorb the other entries
+                arr[tuple([np.arange(arr.shape[0])] * arr.ndim)] *= 10.0 ** rng.uniform(6, 17)
+            A = bt.Tensor.from_array(arr)
+            assert parts(bt.intervals_z(A)) == parts(bt.intervals_gerschgorin(A))
 
 
 class TestIntervalsEvenSymmetric:
