@@ -25,6 +25,19 @@ def _as_int(value, name):
     return int(value)
 
 
+def _reject_non_numbers(entries):
+    """Reject booleans and strings anywhere in nested Python lists, which
+    ``np.array(..., dtype=float64)`` would turn into numbers."""
+    kinds = set(map(type, entries))
+    if any(issubclass(kind, (bool, str)) for kind in kinds):
+        bad = next(v for v in entries if isinstance(v, (bool, str)))
+        raise InputError(f"tensor entries must be real numbers, got {bad!r}")
+    if any(issubclass(kind, (list, tuple)) for kind in kinds):
+        for v in entries:
+            if isinstance(v, (list, tuple)):
+                _reject_non_numbers(v)
+
+
 class Tensor:
     """Dense real tensor of order m >= 2 and dimension n >= 1.
 
@@ -48,6 +61,8 @@ class Tensor:
                 f"tensor with dim {dim} and order {order} needs {count} entries, "
                 f"above the cap of {entry_cap}"
             )
+        if isinstance(entries, (list, tuple)):
+            _reject_non_numbers(entries)
         try:
             arr = np.array(entries, dtype=np.float64, order="C")
         except (TypeError, ValueError, OverflowError) as exc:
@@ -173,6 +188,8 @@ class Tensor:
             if key in seen:
                 raise InputError(f"duplicate sparse index {list(idx)}")
             seen.add(key)
+            if isinstance(record["val"], (bool, str)):
+                raise InputError(f"sparse value {record['val']!r} must be a real number")
             try:
                 arr[key] = record["val"]
             except (TypeError, ValueError, OverflowError):

@@ -20,12 +20,13 @@ spectrum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .core import Tensor, contract
+from .core import Tensor, _as_int, contract
 from .errors import InputError, PreconditionError
 
 _COEFF_CUTOFF = 1e-12
@@ -195,6 +196,7 @@ def eigenpairs_n2(A: Tensor, tol: float = 1e-8) -> list[EigenPair]:
     nonzero first component is an eigenvector (a continuum); the
     representative directions t in {0, 1, -1} are returned in that case.
     """
+    _check_tol(tol)
     if A.dim != 2:
         raise PreconditionError(f"exhaustive enumeration needs dim 2, got {A.dim}")
     m = A.order
@@ -249,12 +251,15 @@ def eigen_search(A: Tensor, restarts: int = 64, seed: int = 0,
     negation, which steers the iteration toward the high and the low end
     of the spectrum respectively.  The shift starts at a row-sum magnitude
     bound on the spectrum and is halved per start whenever the defect
-    stops shrinking.  All starts iterate as one batch (capped at 10**4
-    steps); converged vectors are re-verified through :func:`residual`,
-    deduplicated and sorted.
+    stops shrinking.  All 2 * ``restarts`` starts of both signs iterate as
+    one batch (capped at 10**4 steps); converged vectors are re-verified
+    through :func:`residual`, deduplicated and sorted.
     """
-    if not isinstance(restarts, (int, np.integer)) or restarts < 1:
+    if _as_int(restarts, "restarts") < 1:
         raise InputError(f"restarts must be a positive integer, got {restarts!r}")
+    if _as_int(seed, "seed") < 0:
+        raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
+    _check_tol(tol)
     n, m = A.dim, A.order
     rows = A.array.reshape(n, -1)
     # every H-eigenvalue is bounded in magnitude by the largest absolute row sum
@@ -265,35 +270,50 @@ def eigen_search(A: Tensor, restarts: int = 64, seed: int = 0,
     zero_rows = ~np.any(starts != 0.0, axis=1)
     starts[zero_rows, 0] = 1.0
     starts = _canonical_rows(starts)
+    # rows [0, restarts) iterate on A, rows [restarts, 2 * restarts) on -A
+    signs = np.repeat([1.0, -1.0], restarts)
 
     pairs = []
-    for sign in (1.0, -1.0):
-        for x in _batched_fixed_point(sign * rows, m, starts, alpha0, tol):
-            z = contract(A, x)
-            xm = x ** (m - 1)
-            lam = float(z @ xm / (xm @ xm)) + 0.0
-            res = residual(A, lam, x)
-            if res <= tol:
-                x = x.copy()
-                x.setflags(write=False)
-                pairs.append(EigenPair(lam, x, res))
+    for x in _batched_fixed_point(rows, signs, m, np.vstack([starts, starts]),
+                                  alpha0, tol):
+        z = contract(A, x)
+        xm = x ** (m - 1)
+        lam = float(z @ xm / (xm @ xm)) + 0.0
+        res = residual(A, lam, x)
+        if res <= tol:
+            x = x.copy()
+            x.setflags(write=False)
+            pairs.append(EigenPair(lam, x, res))
     return _dedupe_sort(pairs)
+
+
+def _check_tol(tol):
+    if (isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating))
+            or not 0.0 < tol < math.inf):
+        raise InputError(f"tol must be a finite number above 0, got {tol!r}")
 
 
 def _canonical_rows(X):
     """Row-wise max-norm scaling with the first nonzero component positive."""
-    X = X / np.max(np.abs(X), axis=1, keepdims=True)
+    return _scaled_rows(X, np.max(np.abs(X), axis=1))
+
+
+def _scaled_rows(X, scale):
+    """``X`` divided row-wise by ``scale``, each row's first nonzero
+    component made positive."""
+    X = X / scale[:, None]
     first = X[np.arange(X.shape[0]), np.argmax(X != 0.0, axis=1)]
     X[first < 0.0] *= -1.0
     return X
 
 
-def _batched_fixed_point(rows, m, starts, alpha0, tol, max_iter=10_000):
+def _batched_fixed_point(rows, signs, m, starts, alpha0, tol, max_iter=10_000):
     """Run the shifted fixed-point iteration on all starts at once.
 
-    Yields the converged/best vectors (defect within ``tol``) in start
-    order; rows are retired as they converge or stagnate, shrinking the
-    batch.
+    Start ``i`` iterates on the tensor with flattened rows ``rows`` times
+    ``signs[i]``.  Returns the converged/best vectors (defect within
+    ``tol``) in start order; rows are retired as they converge or
+    stagnate, shrinking the batch.
     """
     k = starts.shape[0]
     X = starts.copy()
@@ -312,7 +332,8 @@ def _batched_fixed_point(rows, m, starts, alpha0, tol, max_iter=10_000):
         W = X
         for _ in range(m - 2):
             W = (W[:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
-        Z = W @ rows.T
+        # multiplying by -1 is exact: a -1 row sees the product with -A
+        Z = (W @ rows.T) * signs[:, None]
         XM = X ** (m - 1)
         lam = (Z * XM).sum(axis=1) / (XM * XM).sum(axis=1)
         res = np.max(np.abs(Z - lam[:, None] * XM), axis=1)
@@ -329,18 +350,20 @@ def _batched_fixed_point(rows, m, starts, alpha0, tol, max_iter=10_000):
             Xn = np.sign(Y) * np.abs(Y) ** power
         else:
             # even component powers lose the sign; keep the current pattern
-            signs = np.where(X != 0.0, np.sign(X), 1.0)
-            Xn = signs * np.maximum(Y, 0.0) ** power
+            pattern = np.where(X != 0.0, np.sign(X), 1.0)
+            Xn = pattern * np.maximum(Y, 0.0) ** power
+        scale = np.max(np.abs(Xn), axis=1)
 
         retire = ((res <= 0.9 * tol) | (it - last_improve > 200)
-                  | (np.max(np.abs(Xn), axis=1) == 0.0) | ~np.all(np.isfinite(Xn), axis=1))
+                  | ~(np.isfinite(scale) & (scale > 0.0)))
         if retire.any():
             for i in np.nonzero(retire & (best_res <= tol))[0]:
                 finished[order[i]] = best_X[i]
             keep = ~retire
             alpha, prev, best_res, best_X = alpha[keep], prev[keep], best_res[keep], best_X[keep]
-            last_improve, order, Xn = last_improve[keep], order[keep], Xn[keep]
-        X = _canonical_rows(Xn)
+            last_improve, order, signs = last_improve[keep], order[keep], signs[keep]
+            Xn, scale = Xn[keep], scale[keep]
+        X = _scaled_rows(Xn, scale)
 
     for i in np.nonzero(best_res <= tol)[0]:
         finished[order[i]] = best_X[i]

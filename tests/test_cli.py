@@ -147,8 +147,15 @@ class TestFailurePaths:
         ("classify", '{"order": 2, "dim": 2, "sparse": [{"idx": [1, 1], "val": "x"}]}'),
         ("classify", '{"order": 2, "dim": 2, "sparse": 7}'),
         ("classify", '{"order": 2, "dim": 1, "dense": [1' + "0" * 400 + ']}'),
+        ("classify", '{"order": 2, "dim": 2, "dense": [true, "0.5", 0, "2"]}'),
+        ("classify", '{"order": 2, "dim": 2, "dense": [1, 0, 0, true]}'),
+        ("classify", '{"order": 2, "dim": 2, "dense": [[1, "0.5"], [0, 2]]}'),
+        ("classify", '{"order": 2, "dim": 2, "sparse": [{"idx": [1, 1], "val": "3"}]}'),
+        ("classify", '{"order": 2, "dim": 2, "sparse": [{"idx": [1, 1], "val": false}]}'),
     ], ids=["edge-not-a-list", "dense-string", "dense-ragged", "sparse-idx-not-a-list",
-            "sparse-val-string", "sparse-not-a-list", "dense-int-overflow"])
+            "sparse-val-string", "sparse-not-a-list", "dense-int-overflow",
+            "dense-bool-and-numeric-strings", "dense-bool", "dense-nested-numeric-string",
+            "sparse-val-numeric-string", "sparse-val-bool"])
     def test_malformed_values_exit_2(self, capsys, tmp_path, verb, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -172,6 +179,20 @@ class TestFailurePaths:
     def test_intervals_requires_method(self, capsys, ones43_path):
         code, _, err = run_main(capsys, ["intervals", ones43_path])
         assert code == 2
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_oracle_rejects_bad_tol(self, capsys, tmp_path, dim, tol):
+        path = tmp_path / "ones.json"
+        path.write_text(json.dumps(bt.Tensor.ones(4, dim).to_json_dict()))
+        code, out, err = run_main(capsys, ["oracle", "--tol", tol, str(path)])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "input"
+
+    def test_oracle_rejects_negative_seed(self, capsys, ones43_path):
+        code, out, err = run_main(capsys, ["oracle", "--seed", "-1", ones43_path])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "input"
 
     def test_restarts_only_for_oracle(self, capsys, ones43_path):
         code, _, err = run_main(capsys, ["classify", "--restarts", "9",

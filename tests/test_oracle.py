@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import btensor as bt
-from cases import make_t42, make_t43, make_z32, random_tensor
+from btensor import oracle
+from cases import (make_t42, make_t43, make_z32, random_mixed_diag, random_symmetric,
+                   random_tensor, random_z)
 
 
 def lam_set(pairs, digits=9):
@@ -151,6 +153,54 @@ class TestEigenSearch:
     def test_restart_validation(self):
         with pytest.raises(bt.InputError):
             bt.eigen_search(bt.Tensor.ones(3, 2), restarts=0)
+
+    @pytest.mark.parametrize("kwargs", [{"restarts": True}, {"seed": -1}, {"seed": 1.5},
+                                        {"seed": False}])
+    def test_integer_argument_validation(self, kwargs):
+        with pytest.raises(bt.InputError):
+            bt.eigen_search(bt.Tensor.ones(3, 3), **kwargs)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf"), True, "1e-8"])
+    @pytest.mark.parametrize("solver, dim", [(bt.eigen_search, 3), (bt.eigenpairs_n2, 2)],
+                             ids=["search", "n2"])
+    def test_tol_validation(self, solver, dim, tol):
+        with pytest.raises(bt.InputError):
+            solver(bt.Tensor.ones(3, dim), tol=tol)
+
+    def test_sign_symmetry(self):
+        # the search runs every start on A and on -A, so negating the input
+        # negates the eigenvalues found; clusters, not raw pair lists, are
+        # compared because the greedy dedupe depends on the order it sees
+        def clusters(lams):
+            heads = []
+            for i, lam in enumerate(sorted(lams)):
+                if i == 0 or lam - last > 1e-6:
+                    heads.append(lam)
+                last = lam
+            return np.array(heads)
+
+        rng = np.random.default_rng(36)
+        families = [random_tensor, random_z, random_symmetric, random_mixed_diag]
+        for k in range(40):
+            m, n = (3, 4)[k % 2], (3, 4, 5)[k % 3]
+            A = families[k % 4](rng, m, n)
+            neg = bt.Tensor.from_array(-A.array)
+            got = clusters([p.lam for p in bt.eigen_search(A, restarts=16, seed=k)])
+            want = clusters([-p.lam for p in bt.eigen_search(neg, restarts=16, seed=k)])
+            assert got.size == want.size, (k, got, want)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-7), (k, got, want)
+
+    def test_one_fixed_point_batch_per_search(self, monkeypatch):
+        calls = []
+        inner = oracle._batched_fixed_point
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_batched_fixed_point", counted)
+        assert bt.eigen_search(bt.Tensor.ones(4, 3), restarts=8, seed=0)
+        assert len(calls) == 1
 
     def test_results_reverify(self):
         rng = np.random.default_rng(35)
