@@ -168,7 +168,7 @@ def a_plus(A: Tensor) -> Tensor:
     """
     stats = row_stats(A)
     shift = stats.r_plus.reshape((A.dim,) + (1,) * (A.order - 1))
-    return Tensor.from_array(A.array - shift)
+    return Tensor._wrap(A.array - shift)
 
 
 def f_transform(A: Tensor) -> Tensor:
@@ -178,7 +178,7 @@ def f_transform(A: Tensor) -> Tensor:
     """
     stats = row_stats(A)
     signs = np.sign(stats.diag).reshape((A.dim,) + (1,) * (A.order - 1))
-    return Tensor.from_array(signs * A.array)
+    return Tensor._wrap(signs * A.array)
 
 
 def check_f_b(A: Tensor) -> bool:

@@ -7,8 +7,9 @@ Grammar::
 Verbs: classify, decompose, intervals, oracle, laplacian, definiteness.
 Inputs use the tensor JSON format (laplacian takes the hypergraph format
 instead).  Reports go to standard output as JSON; failures print an error
-JSON object on standard error and exit with 2 (input or parse errors) or
-3 (precondition or class-violation errors).
+JSON object on standard error and exit with 2 (input or parse errors),
+3 (precondition or class-violation errors) or 1 (an internal error: a
+result that failed its own post-construction check).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
     ClassViolationError,
     DegenerateMarginError,
     InputError,
+    InternalError,
     PreconditionError,
 )
 
@@ -134,6 +136,9 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         _emit_error("precondition", exc)
         return 3
+    except InternalError as exc:
+        _emit_error("internal", exc)
+        return 1
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

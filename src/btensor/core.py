@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -17,6 +18,10 @@ from .errors import InputError
 
 #: Refuse to allocate tensors with more entries than this by default.
 DEFAULT_ENTRY_CAP = 10**8
+
+#: Entries in the scratch buffer of a full pass (1 MiB of float64): the pass
+#: walks blocks of whole rows, so the buffer stays in cache and is not paged in.
+_BLOCK_ENTRIES = 1 << 17
 
 
 def _as_int(value, name):
@@ -36,6 +41,14 @@ def _reject_non_numbers(entries):
         for v in entries:
             if isinstance(v, (list, tuple)):
                 _reject_non_numbers(v)
+
+
+def _frozen(arr):
+    """``arr`` made read-only, once its entries are known to be finite."""
+    if not np.all(np.isfinite(arr)):
+        raise InputError("tensor entries must all be finite")
+    arr.setflags(write=False)
+    return arr
 
 
 class Tensor:
@@ -71,12 +84,18 @@ class Tensor:
             raise InputError(
                 f"expected {count} entries for order {order}, dim {dim}; got {arr.size}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise InputError("tensor entries must all be finite")
-        arr.setflags(write=False)
+        self._array = _frozen(arr).reshape((dim,) * order)
         self.order = order
         self.dim = dim
-        self._array = arr.reshape((dim,) * order)
+
+    @classmethod
+    def _wrap(cls, arr):
+        """A tensor on an m-way float64 array the package has just built and
+        no caller holds: the finiteness check without ``__init__``'s copy."""
+        tensor = cls.__new__(cls)
+        tensor.order, tensor.dim = arr.ndim, arr.shape[0]
+        tensor._array = _frozen(np.ascontiguousarray(arr, dtype=np.float64))
+        return tensor
 
     @classmethod
     def from_array(cls, arr, entry_cap=DEFAULT_ENTRY_CAP):
@@ -239,30 +258,62 @@ class RowStats:
     width: float
 
 
+def _scratch(n, width):
+    """Scratch for blocks of whole rows: at most ``_BLOCK_ENTRIES`` entries,
+    or one row where a row is longer."""
+    return np.empty((min(n, max(1, _BLOCK_ENTRIES // width)), width))
+
+
+def _blockwise(sweep, scratch, *arrays):
+    """Run ``sweep(scratch, *blocks)`` on consecutive blocks of as many rows
+    of ``arrays`` as ``scratch`` holds, and join the per-row arrays it
+    returns.  Per-row reductions do not depend on the block."""
+    n, step = len(arrays[0]), len(scratch)
+    if n <= step:
+        return sweep(scratch, *arrays)
+    parts = [sweep(scratch[:min(step, n - s)], *(a[s:s + step] for a in arrays))
+             for s in range(0, n, step)]
+    return [np.concatenate(p) for p in zip(*parts)]
+
+
+def _row_sweep(scratch, rows, pos):
+    """Row sums, absolute and plain off-diagonal sums and the off-diagonal
+    extremes of a block of rows whose diagonal sits at ``pos``."""
+    idx = np.arange(len(rows))
+    row_sum = rows.sum(axis=1)
+    np.abs(rows, out=scratch)
+    scratch[idx, pos] = 0.0
+    off_diag_abs_sum = scratch.sum(axis=1)
+    np.copyto(scratch, rows)
+    scratch[idx, pos] = -np.inf
+    r_plus = np.maximum(0.0, scratch.max(axis=1))
+    scratch[idx, pos] = np.inf
+    r_minus = np.minimum(0.0, scratch.min(axis=1))
+    scratch[idx, pos] = 0.0
+    return row_sum, off_diag_abs_sum, r_plus, r_minus, scratch.sum(axis=1)
+
+
+def _scaled_sweep(scratch, rows, pos, k):
+    """Row sums and off-diagonal sums of a block of rows scaled by 2**-k."""
+    np.ldexp(rows, -k, out=scratch)
+    total = scratch.sum(axis=1)
+    scratch[np.arange(len(rows)), pos] = 0.0
+    return total, scratch.sum(axis=1)
+
+
 def row_stats(A: Tensor) -> RowStats:
-    """Compute all per-row aggregates with one full-size scratch buffer."""
+    """Compute all per-row aggregates, reusing one scratch buffer of at most
+    ``_BLOCK_ENTRIES`` entries over blocks of whole rows."""
     n, m = A.dim, A.order
     width = n ** (m - 1)
     rows = A.array.reshape(n, width)
     idx = np.arange(n)
     # flat position of (i, ..., i) within row i: i * (1 + n + ... + n**(m-2))
     pos = idx * ((width - 1) // (n - 1)) if n > 1 else idx
-    diag = rows[idx, pos].copy()
-    row_sum = rows.sum(axis=1)
-
-    scratch = np.abs(rows)
-    scratch[idx, pos] = 0.0
-    off_diag_abs_sum = scratch.sum(axis=1)
-
-    np.copyto(scratch, rows)
-    if width > 1:
-        scratch[idx, pos] = -np.inf
-        r_plus = np.maximum(0.0, scratch.max(axis=1))
-        scratch[idx, pos] = np.inf
-        r_minus = np.minimum(0.0, scratch.min(axis=1))
-    else:
-        r_plus = np.zeros(n)
-        r_minus = np.zeros(n)
+    diag = rows[idx, pos]
+    scratch = _scratch(n, width)
+    row_sum, off_diag_abs_sum, r_plus, r_minus, off_sum = _blockwise(
+        _row_sweep, scratch, rows, pos)
     positive, negative = diag > 0, diag < 0
     r_signed = np.where(positive, r_plus, np.where(negative, r_minus, 0.0))
 
@@ -273,11 +324,9 @@ def row_stats(A: Tensor) -> RowStats:
     k = max(0, math.frexp(top)[1] + math.frexp(width)[1] - 1021)
     total, plus, minus = row_sum, r_plus, r_minus
     if k:
-        np.ldexp(rows, -k, out=scratch)
-        total = scratch.sum(axis=1)
+        # a second pass; it replaces the unscaled off-diagonal sums
+        total, off_sum = _blockwise(partial(_scaled_sweep, k=k), scratch, rows, pos)
         plus, minus = np.ldexp(r_plus, -k), np.ldexp(r_minus, -k)
-    scratch[idx, pos] = 0.0
-    off_sum = scratch.sum(axis=1)
     closed = (np.maximum((width - 1) * plus - off_sum, 0.0),
               np.maximum(off_sum - (width - 1) * minus, 0.0),
               total - width * plus, total - width * minus)
@@ -349,8 +398,7 @@ def principal_subtensor(A: Tensor, members) -> Tensor:
         zero_based.append(j - 1)
     if any(a >= b for a, b in zip(zero_based, zero_based[1:])):
         raise InputError("index set must be strictly increasing")
-    sub = A.array[np.ix_(*([zero_based] * A.order))]
-    return Tensor.from_array(sub)
+    return Tensor._wrap(A.array[np.ix_(*([zero_based] * A.order))])
 
 
 def is_symmetric(A: Tensor) -> bool:

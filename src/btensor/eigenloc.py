@@ -220,7 +220,7 @@ def laplacian_tensor(G: Hypergraph, entry_cap=DEFAULT_ENTRY_CAP) -> Tensor:
                 arr[(v - 1,) + perm] = weight
     degrees = G.degrees
     arr[tuple([np.arange(n)] * m)] = degrees
-    return Tensor.from_array(arr, entry_cap=entry_cap)
+    return Tensor._wrap(arr)
 
 
 def laplacian_bounds(G: Hypergraph) -> Interval:

@@ -217,6 +217,26 @@ class TestDeterminism:
 
 
 class TestNearOverflow:
+    def test_internal_error_exits_1_without_traceback(self, tmp_path):
+        # both pair products overflow, so doubly B fails on inf <= inf while
+        # B holds, and classify's own flag check raises InternalError
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(
+            {"order": 2, "dim": 2, "dense": [1e307, -1e306, -1e306, 1e307]}))
+        result = subprocess.run(
+            [sys.executable, "-m", "btensor.cli", "classify", str(path)],
+            capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+
+        def strict(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+        last = json.loads(result.stderr.splitlines()[-1], parse_constant=strict)
+        assert last["error"] == "internal"
+        assert "B implies doublyB" in last["detail"]
+
+
     @pytest.mark.parametrize("method, dense", [
         ("odd-n2", [1e308, 1e308, -1e308, 1e308]),
         ("even-sym", [1e308, 1e308, 1e308, 1e308]),

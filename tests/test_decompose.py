@@ -1,11 +1,13 @@
 """Decompositions into a Z-part plus a nonnegative structured part."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import btensor as bt
+from btensor import classes, decompose
 from cases import (
     diag_index,
     make_t42,
@@ -18,8 +20,9 @@ from cases import (
 
 
 def assert_reconstructs(dec, A, bitwise):
-    """Exact on desk examples; within an ulp per entry for generic floats,
-    where a bitwise split is not representable."""
+    """Exact on desk examples; for generic floats, where a bitwise split is
+    not representable, within 4 ulps of max(|a|, |c|) per entry, the bound
+    the decompositions enforce."""
     total = dec.part_b.array + dec.part_c.array
     if bitwise:
         assert np.array_equal(total, A.array)
@@ -194,6 +197,88 @@ class TestEpsilonChoice:
                 continue
             check(dec, A, bitwise=False)
         assert members >= 50
+
+
+def wide_b(rng, m, n):
+    """B-tensor with entries spread over 10**+-8: each diagonal is set so
+    that row sum - W r_plus is the row's largest off-diagonal magnitude."""
+    arr = rng.uniform(-1.0, 1.0, (n,) * m) * 10.0 ** rng.uniform(-8.0, 8.0, (n,) * m)
+    width = n ** (m - 1)
+    rows = arr.reshape(n, width)
+    for i in range(n):
+        d = i * (width - 1) // (n - 1)
+        off = np.delete(rows[i], d)
+        rows[i, d] = width * max(0.0, off.max()) - off.sum() + np.abs(off).max()
+    return bt.Tensor.from_array(arr)
+
+
+class TestVerify:
+    """The post-construction checks, reached with hand-made parts."""
+
+    A = matrix([[10, 3, -1], [3, 10, -1], [-1, 3, 10]])
+
+    @staticmethod
+    def verify(dec, part_b, part_c):
+        dec = dataclasses.replace(dec, part_b=bt.Tensor.from_array(part_b),
+                                  part_c=bt.Tensor.from_array(part_c))
+        if dec.kind == "B":
+            decompose._verify(dec, TestVerify.A, classes._b_witness, "B")
+        else:
+            decompose._verify(dec, TestVerify.A, classes._doubly_b_witness, "doubly B")
+
+    @pytest.mark.parametrize("split", [bt.decompose_b, bt.decompose_doubly_b])
+    def test_entry_moved_beyond_4_ulps_fails(self, split):
+        dec = split(self.A)
+        part_b = dec.part_b.array.copy()
+        part_b[0, 2] += 1e-6
+        with pytest.raises(bt.InternalError, match="reproduce the input"):
+            self.verify(dec, part_b, dec.part_c.array)
+
+    @pytest.mark.parametrize("split", [bt.decompose_b, bt.decompose_doubly_b])
+    def test_entry_nudged_by_one_ulp_verifies(self, split):
+        dec = split(self.A)
+        part_b = dec.part_b.array.copy()
+        assert part_b[0, 2] == -4.0
+        part_b[0, 2] = np.nextafter(-4.0, -np.inf)
+        # off by one ulp of 4, which is 4 ulps of the entry -1 itself
+        assert not np.array_equal(part_b + dec.part_c.array, self.A.array)
+        self.verify(dec, part_b, dec.part_c.array)
+
+    @pytest.mark.parametrize("split", [bt.decompose_b, bt.decompose_doubly_b])
+    @pytest.mark.parametrize("index, value", [((0, 2), -0.5), ((1, 1), -1.0)])
+    def test_negative_remainder_entry_fails(self, split, index, value):
+        dec = split(self.A)
+        part_b, part_c = dec.part_b.array.copy(), dec.part_c.array.copy()
+        part_b[index] += part_c[index] - value
+        part_c[index] = value
+        assert np.array_equal(part_b + part_c, self.A.array)
+        with pytest.raises(bt.InternalError, match="negative entry"):
+            self.verify(dec, part_b, part_c)
+
+    @pytest.mark.parametrize("index, delta", [((0, 2), -0.5), ((1, 1), 0.25)])
+    def test_remainder_out_of_shape_fails(self, index, delta):
+        dec = bt.decompose_doubly_b(self.A)
+        part_b, part_c = dec.part_b.array.copy(), dec.part_c.array.copy()
+        part_c[index] += delta
+        part_b[index] -= delta
+        assert np.array_equal(part_b + part_c, self.A.array)
+        with pytest.raises(bt.InternalError, match="row-constant-plus-epsilon"):
+            self.verify(dec, part_b, part_c)
+
+    def test_wide_range_splits_verify(self):
+        rng = np.random.default_rng(43)
+        members = inexact = 0
+        for k in range(90):
+            A = wide_b(rng, 2 + k % 3, 2 + (k // 3) % 3)
+            if not bt.is_b(A):
+                continue
+            members += 1
+            for dec, check in ((bt.decompose_b(A), check_b_invariants),
+                               (bt.decompose_doubly_b(A), check_doubly_invariants)):
+                check(dec, A, bitwise=False)
+                inexact += not np.array_equal(dec.part_b.array + dec.part_c.array, A.array)
+        # the splits that do not reconstruct bitwise take the 4-ulp check
+        assert members >= 80 and inexact >= 80
 
 
 class TestConverseDirections:

@@ -8,7 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import btensor as bt
-from cases import make_t42, make_t43, random_tensor
+from btensor import core
+from cases import (
+    make_t42,
+    make_t43,
+    random_b,
+    random_hypergraph,
+    random_mixed_diag,
+    random_tensor,
+    random_z,
+)
 
 
 class TestConstruction:
@@ -254,6 +263,42 @@ class TestRowStats:
                     want = np.ldexp(getattr(st_a, field), shift)
                 assert np.array_equal(getattr(st_b, field), want), field
 
+    @pytest.mark.parametrize("block_entries", [
+        lambda width: 1,                       # a row longer than the buffer
+        lambda width: width,                   # one row per block
+        lambda width: width + width // 2,      # one row, buffer not a row multiple
+        lambda width: 2 * width + width // 2,  # two rows, short last block for odd n
+        lambda width: 3 * width,               # three rows, short last block for n = 4, 5
+        lambda width: 10**9,                   # one block for every tensor
+    ])
+    def test_row_blocks_do_not_change_any_field(self, monkeypatch, block_entries):
+        # row_stats walks blocks of whole rows; per-row reductions must not
+        # depend on where the block boundaries fall, also in the scaled
+        # regime near DBL_MAX (k > 0) and on rows spread over 10**+-8
+        rng = np.random.default_rng(29)
+        families = (random_tensor, random_mixed_diag, random_z, random_b)
+        samples = []
+        for k, (m, n) in enumerate([(2, 3), (2, 5), (3, 3), (3, 4), (3, 5), (4, 3), (4, 4)]):
+            arr = families[k % 4](rng, m, n).array
+            top = np.abs(arr).max()
+            samples += [arr, arr * 10.0 ** rng.uniform(-8.0, 8.0, arr.shape),
+                        arr * (1.5e308 / top), arr * (10.0 ** rng.uniform(300, 308) / top)]
+        samples.append(random_tensor(rng, 2, 400).array)  # two blocks by default
+        fields = [f for f in bt.RowStats.__dataclass_fields__ if f != "width"]
+        for arr in samples:
+            A = bt.Tensor.from_array(arr)
+            width = A.dim ** (A.order - 1)
+            # unscaled row sums near DBL_MAX overflow, to NaN on inf - inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = bt.row_stats(A)
+                monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries(width))
+                got = bt.row_stats(A)
+                assert core._scratch(A.dim, width).size <= max(width, block_entries(width))
+            monkeypatch.undo()
+            assert got.width == want.width
+            for field in fields:
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
     def test_dim_one_tensor(self):
         A = bt.Tensor(3, 1, [4.0])
         st_ = bt.row_stats(A)
@@ -329,3 +374,42 @@ class TestSymmetry:
         assert not np.array_equal(cyclic, np.swapaxes(cyclic, 0, 1))
         for arr in (klein, cyclic):
             assert not bt.is_symmetric(bt.Tensor.from_array(arr))
+
+
+def split_parts(dec):
+    return [dec.part_b, dec.part_c]
+
+
+class TestOwnership:
+    """Tensors the package builds skip the defensive copy, but stay
+    read-only and share no memory with their input."""
+
+    @staticmethod
+    def assert_owned(T, *inputs):
+        assert not T.array.flags.writeable
+        with pytest.raises(ValueError):
+            T.array.ravel()[0] = 1.0
+        for source in inputs:
+            assert not np.shares_memory(T.array, source)
+
+    @pytest.mark.parametrize("build", [
+        lambda A: [bt.a_plus(A)],
+        lambda A: [bt.f_transform(A)],
+        lambda A: [bt.principal_subtensor(A, [1, 3])],
+        lambda A: [bt.principal_subtensor(A, [1, 2, 3])],
+        lambda A: split_parts(bt.decompose_b(A)),
+        lambda A: split_parts(bt.decompose_doubly_b(A)),
+    ])
+    def test_outputs_are_read_only_and_unshared(self, build):
+        rng = np.random.default_rng(31)
+        # B-tensors, so that both splits exist
+        for A in (random_b(rng, 3, 3), random_b(rng, 4, 3)):
+            outputs = build(A)
+            for T in outputs:
+                self.assert_owned(T, A.array, *(U.array for U in outputs if U is not T))
+
+    def test_laplacian_is_read_only_and_unshared(self):
+        rng = np.random.default_rng(37)
+        for _ in range(5):
+            G = random_hypergraph(rng, 5, 3)
+            self.assert_owned(bt.laplacian_tensor(G), G.degrees)
