@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor, row_stats
+from .core import Tensor, _diag_index, row_stats
 from .errors import InternalError
 
 FLAG_NAMES = ("Z", "B", "B0", "doublyB", "SDD", "SDDD", "F_B", "F_doublyB")
@@ -176,8 +176,8 @@ def f_transform(A: Tensor) -> Tensor:
 
     Rows with a zero diagonal become zero rows.
     """
-    stats = row_stats(A)
-    signs = np.sign(stats.diag).reshape((A.dim,) + (1,) * (A.order - 1))
+    diag = A.array[_diag_index(A.dim, A.order)]
+    signs = np.sign(diag).reshape((A.dim,) + (1,) * (A.order - 1))
     return Tensor._wrap(signs * A.array)
 
 

@@ -8,8 +8,9 @@ Verbs: classify, decompose, intervals, oracle, laplacian, definiteness.
 Inputs use the tensor JSON format (laplacian takes the hypergraph format
 instead).  Reports go to standard output as JSON; failures print an error
 JSON object on standard error and exit with 2 (input or parse errors),
-3 (precondition or class-violation errors) or 1 (an internal error: a
-result that failed its own post-construction check).
+3 (precondition or class-violation errors, or a result outside the float
+range, which strict JSON cannot carry) or 1 (an internal error: a result
+that failed its own post-construction check).
 """
 
 from __future__ import annotations
@@ -124,6 +125,10 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         report = _run(args)
+        try:
+            text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+        except ValueError:
+            raise PreconditionError("the result exceeds the float range") from None
     except InputError as exc:
         _emit_error("input", exc)
         return 2
@@ -139,7 +144,6 @@ def main(argv=None) -> int:
     except InternalError as exc:
         _emit_error("internal", exc)
         return 1
-    text = json.dumps(report, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -49,6 +48,10 @@ def _frozen(arr):
         raise InputError("tensor entries must all be finite")
     arr.setflags(write=False)
     return arr
+
+
+def _diag_index(n, m):
+    return tuple([np.arange(n)] * m)
 
 
 class Tensor:
@@ -112,7 +115,7 @@ class Tensor:
     def identity(cls, order, dim):
         """Diagonal tensor with ones on the main diagonal, zeros elsewhere."""
         arr = np.zeros((dim,) * order)
-        arr[tuple([np.arange(dim)] * order)] = 1.0
+        arr[_diag_index(dim, order)] = 1.0
         return cls(order, dim, arr)
 
     @classmethod
@@ -240,8 +243,10 @@ class RowStats:
 
     A deficit (excess) is ``off_diag_abs_sum`` itself where r_plus (r_minus)
     is 0, so on Z-tensors doubly B and SDDD compare the same floats; else it
-    is clamped at 0 against rounding.  Where 2 W max|a| could overflow, the
-    closed forms are taken on rows scaled by a power of two and scaled back.
+    is clamped at 0 against rounding.  Near DBL_MAX each row's sums and
+    closed forms are taken on the row scaled by its own power of two, so no
+    field is NaN, and ``row_sum``, ``off_diag_abs_sum`` and the closed forms
+    are infinite only where the value itself, not a partial sum, overflows.
     """
 
     diag: np.ndarray
@@ -276,34 +281,47 @@ def _blockwise(sweep, scratch, *arrays):
     return [np.concatenate(p) for p in zip(*parts)]
 
 
-def _row_sweep(scratch, rows, pos):
-    """Row sums, absolute and plain off-diagonal sums and the off-diagonal
-    extremes of a block of rows whose diagonal sits at ``pos``."""
+def _row_sweep(scratch, rows, pos, diag):
+    """Per-row aggregates of a block of rows whose diagonal sits at ``pos``.
+
+    The extremes are exact selections of the stored entries.  The sums and
+    closed forms of row i are taken on the row scaled by 2**-k_i, with
+    k_i = max(0, e(max|a|) + e(W) - 1021) for binary exponents e, and scaled
+    back; with k_i = 0 no bit changes.  Only the scaling back can overflow,
+    where the value itself exceeds DBL_MAX."""
+    width = rows.shape[1]
     idx = np.arange(len(rows))
-    row_sum = rows.sum(axis=1)
-    np.abs(rows, out=scratch)
-    scratch[idx, pos] = 0.0
-    off_diag_abs_sum = scratch.sum(axis=1)
     np.copyto(scratch, rows)
     scratch[idx, pos] = -np.inf
     r_plus = np.maximum(0.0, scratch.max(axis=1))
     scratch[idx, pos] = np.inf
     r_minus = np.minimum(0.0, scratch.min(axis=1))
+    scratch[idx, pos] = diag
+    # (max|a| over O(n) values in Python: cheaper than numpy at desk size)
+    top = max(map(abs, diag.tolist() + r_plus.tolist() + r_minus.tolist()))
+    plus, minus, k = r_plus, r_minus, None
+    if math.frexp(top)[1] + math.frexp(width)[1] > 1021:
+        top = np.abs((diag, r_plus, r_minus)).max(axis=0)
+        k = np.maximum(0, np.frexp(top)[1] + math.frexp(width)[1] - 1021)
+        np.ldexp(scratch, -k[:, None], out=scratch)
+        plus, minus = np.ldexp(r_plus, -k), np.ldexp(r_minus, -k)
+    row_sum = scratch.sum(axis=1)
     scratch[idx, pos] = 0.0
-    return row_sum, off_diag_abs_sum, r_plus, r_minus, scratch.sum(axis=1)
-
-
-def _scaled_sweep(scratch, rows, pos, k):
-    """Row sums and off-diagonal sums of a block of rows scaled by 2**-k."""
-    np.ldexp(rows, -k, out=scratch)
-    total = scratch.sum(axis=1)
-    scratch[np.arange(len(rows)), pos] = 0.0
-    return total, scratch.sum(axis=1)
+    off_sum = scratch.sum(axis=1)
+    np.abs(scratch, out=scratch)
+    sums = (row_sum, scratch.sum(axis=1),
+            np.maximum((width - 1) * plus - off_sum, 0.0),
+            np.maximum(off_sum - (width - 1) * minus, 0.0),
+            row_sum - width * plus, row_sum - width * minus)
+    if k is not None:
+        with np.errstate(over="ignore"):
+            sums = [np.ldexp(v, k) for v in sums]
+    return (r_plus, r_minus, *sums)
 
 
 def row_stats(A: Tensor) -> RowStats:
-    """Compute all per-row aggregates, reusing one scratch buffer of at most
-    ``_BLOCK_ENTRIES`` entries over blocks of whole rows."""
+    """Compute all per-row aggregates in one sweep, reusing one scratch
+    buffer of at most ``_BLOCK_ENTRIES`` entries over blocks of whole rows."""
     n, m = A.dim, A.order
     width = n ** (m - 1)
     rows = A.array.reshape(n, width)
@@ -311,29 +329,10 @@ def row_stats(A: Tensor) -> RowStats:
     # flat position of (i, ..., i) within row i: i * (1 + n + ... + n**(m-2))
     pos = idx * ((width - 1) // (n - 1)) if n > 1 else idx
     diag = rows[idx, pos]
-    scratch = _scratch(n, width)
-    row_sum, off_diag_abs_sum, r_plus, r_minus, off_sum = _blockwise(
-        _row_sweep, scratch, rows, pos)
+    r_plus, r_minus, row_sum, off_diag_abs_sum, upper, lower, lows, highs = _blockwise(
+        _row_sweep, _scratch(n, width), rows, pos, diag)
     positive, negative = diag > 0, diag < 0
     r_signed = np.where(positive, r_plus, np.where(negative, r_minus, 0.0))
-
-    # The closed forms reach 2 W max|a|; k > 0 scales them below DBL_MAX.
-    # Scaling by a power of two is exact, and with k = 0 no bit changes.
-    # (max|a| over O(n) values in Python: cheaper than numpy at desk size.)
-    top = max(map(abs, diag.tolist() + r_plus.tolist() + r_minus.tolist()))
-    k = max(0, math.frexp(top)[1] + math.frexp(width)[1] - 1021)
-    total, plus, minus = row_sum, r_plus, r_minus
-    if k:
-        # a second pass; it replaces the unscaled off-diagonal sums
-        total, off_sum = _blockwise(partial(_scaled_sweep, k=k), scratch, rows, pos)
-        plus, minus = np.ldexp(r_plus, -k), np.ldexp(r_minus, -k)
-    closed = (np.maximum((width - 1) * plus - off_sum, 0.0),
-              np.maximum(off_sum - (width - 1) * minus, 0.0),
-              total - width * plus, total - width * minus)
-    if k:
-        with np.errstate(over="ignore"):
-            closed = [np.ldexp(v, k) for v in closed]
-    upper, lower, lows, highs = closed
     upper_deficit = np.where(r_plus == 0.0, off_diag_abs_sum, upper)
     lower_excess = np.where(r_minus == 0.0, off_diag_abs_sum, lower)
     signed_deficit = np.where(positive, upper_deficit,

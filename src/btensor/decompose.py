@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classes
-from .core import Tensor, _blockwise, _scratch, row_stats
+from .core import Tensor, _blockwise, _diag_index, _scratch, row_stats
 from .errors import ClassViolationError, DegenerateMarginError, InternalError
 
 
@@ -57,10 +57,6 @@ class Decomposition:
             "B": self.part_b.to_json_dict(),
             "C": self.part_c.to_json_dict(),
         }
-
-
-def _diag_index(n, m):
-    return tuple([np.arange(n)] * m)
 
 
 def _check_epsilon(eps):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classes
-from .core import DEFAULT_ENTRY_CAP, Tensor, _as_int, is_symmetric, row_stats
+from .core import DEFAULT_ENTRY_CAP, Tensor, _as_int, _diag_index, is_symmetric, row_stats
 from .errors import ClassViolationError, InputError, InternalError, PreconditionError
 
 
@@ -219,7 +219,7 @@ def laplacian_tensor(G: Hypergraph, entry_cap=DEFAULT_ENTRY_CAP) -> Tensor:
             for perm in itertools.permutations(rest):
                 arr[(v - 1,) + perm] = weight
     degrees = G.degrees
-    arr[tuple([np.arange(n)] * m)] = degrees
+    arr[_diag_index(n, m)] = degrees
     return Tensor._wrap(arr)
 
 

@@ -53,6 +53,17 @@ def make_z32():
     return Tensor.from_array(a)
 
 
+def make_cancelling_rows():
+    """Order-2 dim-8 tensor whose row i holds 1e308 at columns i, i+1 and
+    -1e308 at columns i+4, i+5 (mod 8): every exact row sum is 0, while an
+    unscaled pairwise sum can reach +inf and -inf in two partial sums."""
+    a = np.zeros((8, 8))
+    for i in range(8):
+        a[i, [i, (i + 1) % 8]] = 1e308
+        a[i, [(i + 4) % 8, (i + 5) % 8]] = -1e308
+    return Tensor.from_array(a)
+
+
 def matrix(rows):
     return Tensor.from_array(np.asarray(rows, dtype=float))
 

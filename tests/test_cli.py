@@ -3,12 +3,22 @@
 import json
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
 
 import btensor as bt
-from btensor.cli import main
-from cases import make_t42, make_t43
+from btensor.cli import _INTERVAL_METHODS, main
+from cases import (
+    make_cancelling_rows,
+    make_t42,
+    make_t43,
+    make_z32,
+    random_b,
+    random_hypergraph,
+    random_mixed_diag,
+)
 
 
 @pytest.fixture
@@ -230,9 +240,7 @@ class TestNearOverflow:
         assert result.stdout == ""
         assert "Traceback" not in result.stderr
 
-        def strict(name):
-            raise ValueError(f"non-standard JSON constant {name}")
-        last = json.loads(result.stderr.splitlines()[-1], parse_constant=strict)
+        last = json.loads(result.stderr.splitlines()[-1], parse_constant=_strict)
         assert last["error"] == "internal"
         assert "B implies doublyB" in last["detail"]
 
@@ -242,12 +250,84 @@ class TestNearOverflow:
         ("even-sym", [1e308, 1e308, 1e308, 1e308]),
     ])
     def test_intervals_keep_their_finite_lower_end(self, tmp_path, method, dense):
-        # the row sums overflow, but L = diag - r_plus - deficit is 0 in both
-        # rows; only the upper end U exceeds DBL_MAX
+        # L = diag - r_plus - deficit is 0 in both rows; only the upper end U
+        # exceeds DBL_MAX, which strict JSON cannot carry, so the CLI exits 3
+        union = _INTERVAL_METHODS[method](bt.Tensor(2, 2, dense))
+        assert union.to_json_dict() == {"parts": [{"lo": 0.0, "hi": float("inf")}]}
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"order": 2, "dim": 2, "dense": dense}))
         result = subprocess.run(
             [sys.executable, "-m", "btensor.cli", "intervals", "--method", method,
              str(path)], capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout) == {"parts": [{"lo": 0.0, "hi": float("inf")}]}
+        assert result.returncode == 3
+        assert result.stdout == ""
+        last = json.loads(result.stderr.splitlines()[-1], parse_constant=_strict)
+        assert last == {"error": "precondition",
+                        "detail": "the result exceeds the float range"}
+
+    def test_cancelling_row_sums_exit_3_with_strict_json(self, tmp_path):
+        # every exact row sum is 0, but L = row sum - W r_plus is -inf, so
+        # classify's witnesses cannot be written as strict JSON
+        path = tmp_path / "cancel.json"
+        path.write_text(json.dumps(make_cancelling_rows().to_json_dict()))
+        result = subprocess.run(
+            [sys.executable, "-m", "btensor.cli", "classify", str(path)],
+            capture_output=True, text=True)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        last = json.loads(result.stderr.splitlines()[-1], parse_constant=_strict)
+        assert last["error"] == "precondition"
+
+
+def _strict(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+#: Inputs whose sums or pair products overflow the float range.
+_OVERFLOW_DENSE = [
+    [1e308, 1e308, -1e308, 1e308],
+    [1e308, 1e308, 1e308, 1e308],
+    [1e307, -1e306, -1e306, 1e307],
+    [1e200, -1e199, -1e199, 1e200],
+    [1e155, -1e154, -1e154, 1e155],
+]
+
+_VERBS = [["classify"], ["decompose", "--method", "b"], ["decompose", "--method", "doubly-b"],
+          *(["intervals", "--method", m] for m in _INTERVAL_METHODS),
+          ["oracle", "--restarts", "4"], ["laplacian"], ["definiteness"]]
+
+
+def _fixture_payloads():
+    rng = np.random.default_rng(43)
+    inputs = [make_t43(), make_t42(), make_z32(), bt.Tensor.identity(3, 2),
+              random_mixed_diag(rng, 3, 3), random_b(rng, 2, 4),
+              random_hypergraph(rng, 5, 3), random_hypergraph(rng, 5, 3)]
+    return [x.to_json_dict() for x in inputs]
+
+
+class TestStrictJson:
+    """Every verb either prints RFC 8259 JSON with exit 0 or prints nothing
+    on stdout and exits non-zero, also when a result overflows."""
+
+    def run_every_verb(self, capsys, tmp_path, payloads):
+        for k, payload in enumerate(payloads):
+            path = tmp_path / f"input{k}.json"
+            path.write_text(json.dumps(payload))
+            for verb in _VERBS:
+                code, out, _ = run_main(capsys, verb + [str(path)])
+                if code == 0:
+                    json.loads(out, parse_constant=_strict)
+                else:
+                    assert out == "", (verb, payload)
+
+    def test_fixtures(self, capsys, tmp_path):
+        self.run_every_verb(capsys, tmp_path, _fixture_payloads())
+
+    def test_overflow_reproducers(self, capsys, tmp_path):
+        payloads = [{"order": 2, "dim": 2, "dense": dense} for dense in _OVERFLOW_DENSE]
+        payloads.append(make_cancelling_rows().to_json_dict())
+        # a CLI process reports numpy's overflow warnings on stderr and goes
+        # on; the suite's warnings-as-errors setting would stop it midway
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            self.run_every_verb(capsys, tmp_path, payloads)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import btensor as bt
 from btensor import core
 from cases import (
+    make_cancelling_rows,
     make_t42,
     make_t43,
     random_b,
@@ -251,7 +252,8 @@ class TestRowStats:
         # two, which must give the exactly scaled result, overflowing to
         # infinity only where that result exceeds DBL_MAX
         rng = np.random.default_rng(17)
-        fields = ("upper_deficit", "lower_excess", "signed_deficit", "lows", "highs")
+        fields = ("row_sum", "off_diag_abs_sum", "upper_deficit", "lower_excess",
+                  "signed_deficit", "lows", "highs")
         for k in range(12):
             A = random_tensor(rng, 2 + k % 3, 2 + k % 2)
             width = A.dim ** (A.order - 1)
@@ -288,16 +290,20 @@ class TestRowStats:
         for arr in samples:
             A = bt.Tensor.from_array(arr)
             width = A.dim ** (A.order - 1)
-            # unscaled row sums near DBL_MAX overflow, to NaN on inf - inf
-            with np.errstate(over="ignore", invalid="ignore"):
-                want = bt.row_stats(A)
-                monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries(width))
-                got = bt.row_stats(A)
-                assert core._scratch(A.dim, width).size <= max(width, block_entries(width))
+            want = bt.row_stats(A)
+            monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries(width))
+            got = bt.row_stats(A)
+            assert core._scratch(A.dim, width).size <= max(width, block_entries(width))
             monkeypatch.undo()
             assert got.width == want.width
             for field in fields:
+                assert not np.isnan(getattr(got, field)).any(), field
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+    def test_row_sums_cancel_exactly_near_overflow(self):
+        st_ = bt.row_stats(make_cancelling_rows())
+        assert np.array_equal(st_.row_sum, np.zeros(8))
+        assert np.all(st_.off_diag_abs_sum == np.inf)
 
     def test_dim_one_tensor(self):
         A = bt.Tensor(3, 1, [4.0])
