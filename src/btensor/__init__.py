@@ -56,7 +56,7 @@ from .errors import (
     InternalError,
     PreconditionError,
 )
-from .oracle import EigenPair, eigen_search, eigenpairs_n2, residual
+from .oracle import EigenPair, SearchCounts, eigen_search, eigenpairs_n2, residual, search_report
 
 __version__ = "0.1.0"
 
@@ -76,6 +76,7 @@ __all__ = [
     "IntervalUnion",
     "PreconditionError",
     "RowStats",
+    "SearchCounts",
     "Tensor",
     "a_plus",
     "check_f_b",
@@ -105,4 +106,5 @@ __all__ = [
     "principal_subtensor",
     "residual",
     "row_stats",
+    "search_report",
 ]

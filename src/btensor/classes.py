@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor, _diag_index, row_stats
+from .core import Tensor, _diag_index, _r_plus, row_stats
 from .errors import InternalError
 
 FLAG_NAMES = ("Z", "B", "B0", "doublyB", "SDD", "SDDD", "F_B", "F_doublyB")
@@ -166,8 +166,7 @@ def a_plus(A: Tensor) -> Tensor:
     The result is always a Z-tensor, and it preserves membership in the
     B and doubly-B classes in both directions.
     """
-    stats = row_stats(A)
-    shift = stats.r_plus.reshape((A.dim,) + (1,) * (A.order - 1))
+    shift = _r_plus(A).reshape((A.dim,) + (1,) * (A.order - 1))
     return Tensor._wrap(A.array - shift)
 
 

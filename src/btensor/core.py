@@ -281,6 +281,34 @@ def _blockwise(sweep, scratch, *arrays):
     return [np.concatenate(p) for p in zip(*parts)]
 
 
+def _row_layout(A):
+    """The rows of A flattened to shape (n, n**(m-1)), and the flat position
+    of each row's diagonal entry within its row."""
+    n, m = A.dim, A.order
+    width = n ** (m - 1)
+    idx = np.arange(n)
+    # flat position of (i, ..., i) within row i: i * (1 + n + ... + n**(m-2))
+    pos = idx * ((width - 1) // (n - 1)) if n > 1 else idx
+    return A.array.reshape(n, width), pos
+
+
+def _r_plus_sweep(scratch, rows, pos):
+    """``r_plus`` of a block of rows whose diagonal sits at ``pos``; leaves
+    the block in ``scratch`` with -inf on the diagonal."""
+    np.copyto(scratch, rows)
+    scratch[np.arange(len(rows)), pos] = -np.inf
+    return (np.maximum(0.0, scratch.max(axis=1)),)
+
+
+def _r_plus(A: Tensor) -> np.ndarray:
+    """Each row's largest off-diagonal entry clamped below at 0, the
+    ``r_plus`` field of :func:`row_stats`, from one masked max per block of
+    rows."""
+    rows, pos = _row_layout(A)
+    (plus,) = _blockwise(_r_plus_sweep, _scratch(*rows.shape), rows, pos)
+    return plus
+
+
 def _row_sweep(scratch, rows, pos, diag):
     """Per-row aggregates of a block of rows whose diagonal sits at ``pos``.
 
@@ -291,9 +319,7 @@ def _row_sweep(scratch, rows, pos, diag):
     where the value itself exceeds DBL_MAX."""
     width = rows.shape[1]
     idx = np.arange(len(rows))
-    np.copyto(scratch, rows)
-    scratch[idx, pos] = -np.inf
-    r_plus = np.maximum(0.0, scratch.max(axis=1))
+    (r_plus,) = _r_plus_sweep(scratch, rows, pos)
     scratch[idx, pos] = np.inf
     r_minus = np.minimum(0.0, scratch.min(axis=1))
     scratch[idx, pos] = diag
@@ -322,13 +348,9 @@ def _row_sweep(scratch, rows, pos, diag):
 def row_stats(A: Tensor) -> RowStats:
     """Compute all per-row aggregates in one sweep, reusing one scratch
     buffer of at most ``_BLOCK_ENTRIES`` entries over blocks of whole rows."""
-    n, m = A.dim, A.order
-    width = n ** (m - 1)
-    rows = A.array.reshape(n, width)
-    idx = np.arange(n)
-    # flat position of (i, ..., i) within row i: i * (1 + n + ... + n**(m-2))
-    pos = idx * ((width - 1) // (n - 1)) if n > 1 else idx
-    diag = rows[idx, pos]
+    rows, pos = _row_layout(A)
+    n, width = rows.shape
+    diag = rows[np.arange(n), pos]
     r_plus, r_minus, row_sum, off_diag_abs_sum, upper, lower, lows, highs = _blockwise(
         _row_sweep, _scratch(n, width), rows, pos, diag)
     positive, negative = diag > 0, diag < 0

@@ -5,7 +5,13 @@ polynomial whose real roots enumerate the full H-spectrum, so the result
 is exhaustive up to root-finding tolerance.  For larger dimensions a
 seeded, shifted fixed-point search returns a deterministic subset of the
 spectrum; completeness is not claimed there, and an empty result is a
-legal outcome.
+legal outcome.  The search hands each start whose defect falls below
+``_HANDOFF`` to Newton's method, run on all such starts at once as a
+stack of bordered n x n solves; a start that Newton's method does not
+bring within the tolerance resumes the fixed point where it left it, and
+what it converges to is polished by a second such run.  So pairs on
+simple eigenvalues are solved to rounding level, and starts that found
+the same pair merge in the dedupe.
 
 Every returned pair is re-verified through :func:`residual`, an
 independent code path from the solvers.  Eigenvectors are normalized to
@@ -21,7 +27,7 @@ spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -32,6 +38,10 @@ from .errors import InputError, PreconditionError
 _COEFF_CUTOFF = 1e-12
 _BISECT_WIDTH = 1e-13
 _DEDUPE_TOL = 1e-9
+_HANDOFF = 1e-3
+_NEWTON_STEPS = 32
+_POLISH = 1e-12
+_STALL = 200
 
 
 @dataclass(frozen=True)
@@ -252,9 +262,52 @@ def eigen_search(A: Tensor, restarts: int = 64, seed: int = 0,
     of the spectrum respectively.  The shift starts at a row-sum magnitude
     bound on the spectrum and is halved per start whenever the defect
     stops shrinking.  All 2 * ``restarts`` starts of both signs iterate as
-    one batch (capped at 10**4 steps); converged vectors are re-verified
-    through :func:`residual`, deduplicated and sorted.
+    one batch (capped at 10**4 steps).  A start whose defect drops below
+    ``_HANDOFF`` leaves the batch, and all such starts are polished
+    together by Newton's method (see :func:`_batched_fixed_point`), so the
+    pairs it returns solve the equation to rounding level and distinct
+    starts that found the same pair collapse in the dedupe.  Converged
+    vectors are re-verified through :func:`residual`, deduplicated and
+    sorted.
+
+    Raises :class:`PreconditionError` when the shift bound, 1 plus the
+    largest absolute row sum, exceeds the float range.
     """
+    return search_report(A, restarts=restarts, seed=seed, tol=tol)[0]
+
+
+@dataclass
+class SearchCounts:
+    """What one :func:`eigen_search` did, start by start.
+
+    Of the 2 * ``restarts`` starts, ``handed_off`` left the fixed point for
+    Newton's method, which ``polished`` of them; the other ``resumed`` went
+    back to the fixed point from where they left it.  Every start that
+    stays in the fixed point ends as one of ``converged`` (defect within
+    0.9 tol), ``stalled`` (no gain in 200 steps, or out of steps) or
+    ``degenerate`` (the iterate left the float range or vanished).
+    ``passes`` counts passes of the fixed-point loop over its batch and
+    ``newton_steps`` the stacked bordered solves of both Newton runs;
+    ``pairs_found`` is the number of verified pairs before the dedupe,
+    ``pairs`` after it.
+    """
+
+    handed_off: int = 0
+    polished: int = 0
+    resumed: int = 0
+    converged: int = 0
+    stalled: int = 0
+    degenerate: int = 0
+    passes: int = 0
+    newton_steps: int = 0
+    pairs_found: int = 0
+    pairs: int = 0
+
+
+def search_report(A: Tensor, restarts: int = 64, seed: int = 0,
+                  tol: float = 1e-8) -> tuple[list[EigenPair], SearchCounts]:
+    """:func:`eigen_search` together with the :class:`SearchCounts` of the
+    search; the pairs are the same."""
     if _as_int(restarts, "restarts") < 1:
         raise InputError(f"restarts must be a positive integer, got {restarts!r}")
     if _as_int(seed, "seed") < 0:
@@ -263,7 +316,11 @@ def eigen_search(A: Tensor, restarts: int = 64, seed: int = 0,
     n, m = A.dim, A.order
     rows = A.array.reshape(n, -1)
     # every H-eigenvalue is bounded in magnitude by the largest absolute row sum
-    alpha0 = 1.0 + float(np.abs(rows).sum(axis=1).max())
+    with np.errstate(over="ignore"):
+        alpha0 = 1.0 + float(np.abs(rows).sum(axis=1).max())
+    if not math.isfinite(alpha0):
+        raise PreconditionError("the search shift, 1 plus the largest absolute row sum, "
+                                "exceeds the float range")
 
     rng = np.random.default_rng(seed)
     starts = rng.standard_normal((restarts, n))
@@ -273,9 +330,10 @@ def eigen_search(A: Tensor, restarts: int = 64, seed: int = 0,
     # rows [0, restarts) iterate on A, rows [restarts, 2 * restarts) on -A
     signs = np.repeat([1.0, -1.0], restarts)
 
+    counts = SearchCounts()
     pairs = []
     for x in _batched_fixed_point(rows, signs, m, np.vstack([starts, starts]),
-                                  alpha0, tol):
+                                  alpha0, tol, counts):
         z = contract(A, x)
         xm = x ** (m - 1)
         lam = float(z @ xm / (xm @ xm)) + 0.0
@@ -284,7 +342,10 @@ def eigen_search(A: Tensor, restarts: int = 64, seed: int = 0,
             x = x.copy()
             x.setflags(write=False)
             pairs.append(EigenPair(lam, x, res))
-    return _dedupe_sort(pairs)
+    counts.pairs_found = len(pairs)
+    pairs = _dedupe_sort(pairs)
+    counts.pairs = len(pairs)
+    return pairs, counts
 
 
 def _check_tol(tol):
@@ -307,45 +368,115 @@ def _scaled_rows(X, scale):
     return X
 
 
-def _batched_fixed_point(rows, signs, m, starts, alpha0, tol, max_iter=10_000):
-    """Run the shifted fixed-point iteration on all starts at once.
+@dataclass
+class _Starts:
+    """Fixed-point state of a batch of starts, one row per start."""
+
+    X: np.ndarray
+    signs: np.ndarray
+    order: np.ndarray
+    alpha: np.ndarray
+    prev: np.ndarray
+    best_res: np.ndarray
+    best_X: np.ndarray
+    #: pass of the sweep at which the start stalls unless it improves first
+    deadline: np.ndarray
+    #: its last pass, where its step budget ends
+    cap: np.ndarray
+
+    def take(self, mask, passes=0):
+        """The starts in ``mask``, their pass counts moved back by ``passes``."""
+        part = _Starts(*(getattr(self, f.name)[mask] for f in fields(self)))
+        part.deadline -= passes
+        part.cap -= passes
+        return part
+
+
+def _batched_fixed_point(rows, signs, m, starts, alpha0, tol, counts, max_iter=10_000):
+    """Run the shifted fixed-point iteration on all starts at once, and
+    finish the near-converged ones by Newton's method.
 
     Start ``i`` iterates on the tensor with flattened rows ``rows`` times
-    ``signs[i]``.  Returns the converged/best vectors (defect within
-    ``tol``) in start order; rows are retired as they converge or
-    stagnate, shrinking the batch.
+    ``signs[i]``, for at most ``max_iter`` steps.  A start leaves the batch
+    as soon as its defect is below ``_HANDOFF``.  When the batch is empty,
+    all starts that left are polished in one stacked Newton run
+    (:func:`_newton`).  A start whose Newton run does not reach the
+    fixed point's own bar, a defect within 0.9 tol, goes back to the fixed
+    point from the state it left it in, with the handoff off, and goes on
+    as it would have without the handoff.  The vectors that the fixed
+    point finishes that way, and those that Newton's method brought within
+    0.9 tol but not to ``_POLISH * max|a|``, get a second stacked Newton
+    run, which keeps a vector only where it ends within 0.9 tol.  Returns
+    the polished and the converged/best vectors (defect within ``tol``) in
+    start order; ``counts``, a :class:`SearchCounts`, tallies what each
+    start did.
     """
     k = starts.shape[0]
-    X = starts.copy()
-    alpha = np.full(k, alpha0)
-    prev = np.full(k, np.inf)
-    best_res = np.full(k, np.inf)
-    best_X = X.copy()
-    last_improve = np.zeros(k, dtype=int)
-    order = np.arange(k)
-    power = 1.0 / (m - 1)
+    batch = _Starts(X=starts.copy(), signs=signs, order=np.arange(k),
+                    alpha=np.full(k, alpha0), prev=np.full(k, np.inf),
+                    best_res=np.full(k, np.inf), best_X=starts.copy(),
+                    deadline=np.full(k, _STALL + 1), cap=np.full(k, max_iter - 1))
     finished = {}
+    handed = _sweep(rows, m, batch, tol, _HANDOFF, finished, counts)
+    counts.handed_off = handed.order.size
+    if handed.order.size:
+        jac, target = _jacobian_rows(rows, m), _POLISH * float(np.abs(rows).max())
+        X, defect = _newton(jac, m, handed.X, target, counts)
+        polished = defect <= 0.9 * tol
+        counts.polished = int(polished.sum())
+        counts.resumed = counts.handed_off - counts.polished
+        finished.update(zip(handed.order[polished], X[polished]))
+        rough = polished & (defect > target)
+        again = dict(zip(handed.order[rough], X[rough]))
+        _sweep(rows, m, handed.take(~polished), tol, 0.0, again, counts)
+        if again:
+            # from within tol, a second run polishes what the first left rough
+            # or the fixed point finished; it never ends worse than it starts
+            order = np.array(list(again))
+            X, defect = _newton(jac, m, np.array(list(again.values())), target, counts)
+            finished.update(again)
+            better = defect <= 0.9 * tol
+            finished.update(zip(order[better], X[better]))
+    return [finished[i] for i in sorted(finished)]
 
-    for it in range(max_iter):
-        if X.shape[0] == 0:
-            break
+
+def _sweep(rows, m, batch, tol, handoff, finished, counts):
+    """Iterate ``batch`` until every start has converged, stalled,
+    degenerated, run out of steps or been handed off (defect below
+    ``handoff``).  Vectors of the retired starts whose best defect is
+    within ``tol`` go into ``finished``; returns the handed-off starts,
+    their state as it was before the step that handed them off, so that a
+    sweep of them repeats that step first."""
+    power = 1.0 / (m - 1)
+    handed = [batch.take(np.zeros(batch.order.size, dtype=bool))]
+    it, nearest_cap = 0, batch.cap.min() if batch.order.size else 0
+    while batch.order.size:
+        counts.passes += 1
+        X = batch.X
         W = X
         for _ in range(m - 2):
             W = (W[:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
         # multiplying by -1 is exact: a -1 row sees the product with -A
-        Z = (W @ rows.T) * signs[:, None]
+        Z = (W @ rows.T) * batch.signs[:, None]
         XM = X ** (m - 1)
         lam = (Z * XM).sum(axis=1) / (XM * XM).sum(axis=1)
         res = np.max(np.abs(Z - lam[:, None] * XM), axis=1)
 
-        improved = res < best_res * (1.0 - 1e-6)
-        best_res[improved] = res[improved]
-        best_X[improved] = X[improved]
-        last_improve[improved] = it
+        if handoff:
+            hand = res < handoff
+            if hand.any():
+                handed.append(batch.take(hand, passes=it))
+                stay = ~hand
+                batch, X, Z, XM, res = batch.take(stay), X[stay], Z[stay], XM[stay], res[stay]
 
-        alpha[res > prev] *= 0.5
-        prev = res
-        Y = Z + alpha[:, None] * XM
+        improved = res < batch.best_res * (1.0 - 1e-6)
+        batch.best_res[improved] = res[improved]
+        batch.best_X[improved] = X[improved]
+        batch.deadline[improved] = it + _STALL + 1
+
+        batch.alpha[res > batch.prev] *= 0.5
+        batch.prev = res
+        Y = Z + batch.alpha[:, None] * XM
         if m % 2 == 0:
             Xn = np.sign(Y) * np.abs(Y) ** power
         else:
@@ -354,20 +485,111 @@ def _batched_fixed_point(rows, signs, m, starts, alpha0, tol, max_iter=10_000):
             Xn = pattern * np.maximum(Y, 0.0) ** power
         scale = np.max(np.abs(Xn), axis=1)
 
-        retire = ((res <= 0.9 * tol) | (it - last_improve > 200)
-                  | ~(np.isfinite(scale) & (scale > 0.0)))
+        converged = res <= 0.9 * tol
+        sound = np.isfinite(scale) & (scale > 0.0)
+        retire = converged | ~sound | (batch.deadline <= it)
+        if it >= nearest_cap:
+            retire |= batch.cap <= it
         if retire.any():
-            for i in np.nonzero(retire & (best_res <= tol))[0]:
-                finished[order[i]] = best_X[i]
+            done, degenerate = int(converged.sum()), int((~sound & ~converged).sum())
+            counts.converged += done
+            counts.degenerate += degenerate
+            counts.stalled += int(retire.sum()) - done - degenerate
+            for i in np.nonzero(retire & (batch.best_res <= tol))[0]:
+                finished[batch.order[i]] = batch.best_X[i]
             keep = ~retire
-            alpha, prev, best_res, best_X = alpha[keep], prev[keep], best_res[keep], best_X[keep]
-            last_improve, order, signs = last_improve[keep], order[keep], signs[keep]
-            Xn, scale = Xn[keep], scale[keep]
-        X = _scaled_rows(Xn, scale)
+            batch, Xn, scale = batch.take(keep), Xn[keep], scale[keep]
+            nearest_cap = batch.cap.min() if batch.order.size else 0
+        batch.X = _scaled_rows(Xn, scale)
+        it += 1
+    return _Starts(*(np.concatenate([getattr(h, f.name) for h in handed])
+                     for f in fields(_Starts)))
 
-    for i in np.nonzero(best_res <= tol)[0]:
-        finished[order[i]] = best_X[i]
-    return [finished[i] for i in sorted(finished)]
+
+def _jacobian_rows(rows, m):
+    """The matrix ``S`` of shape (n*n, n**(m-2)) such that ``w @ S.T``,
+    for ``w`` the (m-2)-fold products of the components of x, is the
+    Jacobian of ``A x^(m-1)`` flattened row-major.  ``S`` is the sum of A
+    with each of its last m-1 axes in turn moved to second place; on such
+    products it acts as (m-1) times A symmetrized over its last m-1
+    indices, at m-1 instead of (m-1)! terms."""
+    n = rows.shape[0]
+    arr = rows.reshape((n,) * m)
+    S = arr.copy()
+    for axis in range(2, m):
+        S += np.moveaxis(arr, axis, 1)
+    return S.reshape(n * n, -1)
+
+
+def _newton(jac, m, X, target, counts):
+    """Newton's method on all starts ``X`` (max-norm 1) at once.
+
+    The unknowns of start i are x and lambda, with the largest component
+    x_p pinned, and the system is F = A x^(m-1) - lambda x^[m-1] = 0.  A
+    start of the negated tensor needs no sign: its iterates are the same
+    with lambda negated.  Each step solves the bordered n x n systems, the
+    Jacobian J - (m-1) lambda diag(x^[m-2]) with column p replaced by
+    -x^[m-1] (the lambda column), for the whole stack, in at most
+    ``_NEWTON_STEPS`` steps.  The defect of a start is max|F| over
+    max|x|^(m-1), the :func:`residual` of x.  A start above ``target``
+    steps on while its defect is finite; below it, it stops once the
+    defect fails to halve, where rounding ends the gain.  Returns each
+    start's best vector in canonical form and its defect.
+    """
+    k, n = X.shape
+    X = X.copy()
+    pin = np.argmax(np.abs(X), axis=1)
+    last = np.full(k, np.inf)
+    best, best_X = np.full(k, np.inf), X.copy()
+    live = np.arange(k)
+    diag = np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(_NEWTON_STEPS + 1):
+            x = X[live]
+            W = np.ones((live.size, 1))
+            for _ in range(m - 2):
+                W = (W[:, :, None] * x[:, None, :]).reshape(live.size, -1)
+            J = (W @ jac.T).reshape(-1, n, n)
+            Z = (J @ x[:, :, None])[:, :, 0] / (m - 1)
+            XM = x ** (m - 1)
+            if step == 0:
+                lam = (Z * XM).sum(axis=1) / (XM * XM).sum(axis=1)
+            F = Z - lam[live, None] * XM
+            defect = np.max(np.abs(F), axis=1) / np.max(np.abs(x), axis=1) ** (m - 1)
+
+            improved = defect < best[live]
+            best[live[improved]] = defect[improved]
+            best_X[live[improved]] = x[improved]
+            go = (((defect < 0.5 * last[live]) | ~(best[live] <= target))
+                  & (defect > 0.0) & np.isfinite(defect))
+            last[live] = defect
+            if step == _NEWTON_STEPS or not go.any():
+                break
+            live, x, J, F, XM = live[go], x[go], J[go], F[go], XM[go]
+            J[:, diag, diag] -= (m - 1) * lam[live, None] * x ** (m - 2)
+            idx = np.arange(live.size)
+            J[idx, :, pin[live]] = -XM
+            d = _bordered_solve(J, -F)
+            counts.newton_steps += 1
+            lam[live] += d[idx, pin[live]]
+            d[idx, pin[live]] = 0.0
+            X[live] = x + d
+    return _canonical_rows(best_X), best
+
+
+def _bordered_solve(J, F):
+    """Solve the stack ``J d = F``.  One exactly singular system makes the
+    stacked LU solve raise for all of them; then the singular ones (zero
+    determinant) take the minimum-norm step of the pseudo-inverse instead."""
+    try:
+        return np.linalg.solve(J, F[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        pass
+    singular = np.linalg.det(J) == 0.0
+    d = np.empty_like(F)
+    d[~singular] = np.linalg.solve(J[~singular], F[~singular, :, None])[:, :, 0]
+    d[singular] = (np.linalg.pinv(J[singular]) @ F[singular, :, None])[:, :, 0]
+    return d
 
 
 def _dedupe_sort(pairs):

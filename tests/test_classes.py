@@ -75,6 +75,20 @@ class TestTransforms:
             A = random_tensor(rng, 3, 3, scale=2.0)
             assert bt.is_z(bt.a_plus(A))
 
+    @pytest.mark.parametrize("block_entries", [1, 50, 1 << 17])
+    def test_a_plus_subtracts_the_row_stats_r_plus(self, monkeypatch, block_entries):
+        # a_plus reads r_plus alone; in blocks of one, a few or all rows it
+        # must give bitwise the tensor row_stats' r_plus gives
+        from btensor import core
+
+        rng = np.random.default_rng(2)
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
+        for m, n in [(2, 1), (2, 5), (3, 4), (4, 3), (5, 2), (3, 9)]:
+            for A in (random_tensor(rng, m, n), random_mixed_diag(rng, m, n),
+                      bt.Tensor.from_array(1e300 * random_tensor(rng, m, n).array)):
+                shift = bt.row_stats(A).r_plus.reshape((n,) + (1,) * (m - 1))
+                assert bt.a_plus(A).array.tobytes() == (A.array - shift).tobytes()
+
     def test_f_transform_positive_diag_is_identity(self):
         t43 = make_t43()
         assert bt.f_transform(t43) == t43

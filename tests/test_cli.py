@@ -278,6 +278,18 @@ class TestNearOverflow:
         last = json.loads(result.stderr.splitlines()[-1], parse_constant=_strict)
         assert last["error"] == "precondition"
 
+    def test_oracle_on_overflowing_shift_exits_3(self, tmp_path):
+        path = tmp_path / "cancel.json"
+        path.write_text(json.dumps(make_cancelling_rows().to_json_dict()))
+        result = subprocess.run(
+            [sys.executable, "-m", "btensor.cli", "oracle", str(path)],
+            capture_output=True, text=True)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        last = json.loads(result.stderr.splitlines()[-1], parse_constant=_strict)
+        assert last["error"] == "precondition"
+        assert "float range" in last["detail"]
+
 
 def _strict(name):
     raise ValueError(f"non-standard JSON constant {name}")

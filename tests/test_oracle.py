@@ -7,8 +7,9 @@ import pytest
 
 import btensor as bt
 from btensor import oracle
-from cases import (make_t42, make_t43, make_z32, random_mixed_diag, random_symmetric,
-                   random_tensor, random_z)
+from cases import (make_cancelling_rows, make_t42, make_t43, make_z32, random_b,
+                   random_hypergraph, random_mixed_diag, random_symmetric, random_tensor,
+                   random_z)
 
 
 def lam_set(pairs, digits=9):
@@ -209,3 +210,157 @@ class TestEigenSearch:
             for p in bt.eigen_search(A, restarts=16, seed=1):
                 assert bt.residual(A, p.lam, p.x) <= 1e-8
                 assert np.max(np.abs(p.x)) == 1.0
+
+
+def qi_bound(m, n):
+    """Qi (2005): an order-m dim-n tensor has at most n (m-1)^(n-1) eigenvalues."""
+    return n * (m - 1) ** (n - 1)
+
+
+def clusters(pairs, tol=1e-6):
+    heads = []
+    for lam in sorted(p.lam for p in pairs):
+        if not heads or lam - last > tol:
+            heads.append(lam)
+        last = lam
+    return np.array(heads)
+
+
+@pytest.fixture(scope="module")
+def generic_searches():
+    """Searches on the four generic families at the four benchmark shapes."""
+    rng = np.random.default_rng(71)
+    found = []
+    for m, n in [(3, 3), (3, 6), (4, 3), (4, 6)]:
+        for family in (random_z, random_symmetric, random_b, random_mixed_diag):
+            for _ in range(2):
+                A = family(rng, m, n)
+                found.append((A, bt.eigen_search(A, restarts=64, seed=int(rng.integers(1000)))))
+    return found
+
+
+class TestNewtonFinish:
+    def test_within_qi_bound(self, generic_searches):
+        assert sum(len(pairs) for _, pairs in generic_searches) >= len(generic_searches)
+        for A, pairs in generic_searches:
+            assert len({p.lam for p in pairs}) <= qi_bound(A.order, A.dim)
+
+    def test_pairs_are_distinct(self, generic_searches):
+        for A, pairs in generic_searches:
+            for i, p in enumerate(pairs):
+                for q in pairs[i + 1:]:
+                    assert not (abs(p.lam - q.lam) <= 1e-6
+                                and np.max(np.abs(p.x - q.x)) <= 1e-6), (p, q)
+
+    def test_pairs_are_polished(self, generic_searches):
+        for A, pairs in generic_searches:
+            bound = 1e-10 * max(1.0, float(np.max(np.abs(A.array))))
+            for p in pairs:
+                assert p.residual <= bound
+                assert bt.residual(A, p.lam, p.x) <= bound
+
+    @pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (4, 3), (5, 2)])
+    def test_jacobian_rows_match_finite_differences(self, m, n):
+        rng = np.random.default_rng(72 + m)
+        A = random_tensor(rng, m, n)
+        x = rng.uniform(-1.0, 1.0, size=n)
+        w = np.ones(1)
+        for _ in range(m - 2):
+            w = np.multiply.outer(w, x).ravel()
+        J = (w @ oracle._jacobian_rows(A.array.reshape(n, -1), m).T).reshape(n, n)
+        h = 1e-6
+        numeric = np.column_stack([
+            (bt.contract(A, x + h * e) - bt.contract(A, x - h * e)) / (2 * h)
+            for e in np.eye(n)])
+        assert np.allclose(J, numeric, rtol=0.0, atol=1e-8)
+
+    def test_bordered_solve_keeps_regular_rows_exact(self):
+        # an exactly singular system makes the stacked solve raise; the
+        # regular ones still get the plain LU solution, the singular one the
+        # minimum-norm step
+        rng = np.random.default_rng(73)
+        J = rng.standard_normal((4, 3, 3))
+        J[2] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]]
+        F = rng.standard_normal((4, 3))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(J, F[:, :, None])
+        d = oracle._bordered_solve(J, F)
+        for i in (0, 1, 3):
+            assert np.array_equal(d[i], np.linalg.solve(J[i], F[i]))
+        assert np.allclose(d[2], np.linalg.pinv(J[2]) @ F[2])
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: bt.Tensor.identity(4, 3),
+        lambda rng: bt.Tensor.ones(4, 3),
+        lambda rng: bt.Tensor(3, 3, np.zeros(27)),
+        lambda rng: bt.laplacian_tensor(bt.Hypergraph(5, 3, [(1, 2, 3)])),
+        lambda rng: bt.laplacian_tensor(random_hypergraph(rng, 6, 3)),
+    ], ids=["identity", "ones", "zero", "isolated-vertices", "random-hypergraph"])
+    def test_singular_jacobians(self, make):
+        A = make(np.random.default_rng(74))
+        pairs, counts = bt.search_report(A, restarts=16, seed=3)
+        assert pairs and counts.handed_off
+        for p in pairs:
+            assert np.isfinite(p.lam) and np.all(np.isfinite(p.x))
+            assert bt.residual(A, p.lam, p.x) <= 1e-8
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: bt.Tensor.identity(4, 3),
+        lambda rng: bt.Tensor.ones(4, 3),
+        lambda rng: bt.laplacian_tensor(random_hypergraph(rng, 5, 3)),
+        lambda rng: random_z(rng, 3, 4),
+        lambda rng: random_symmetric(rng, 4, 3),
+    ], ids=["identity", "ones", "laplacian", "z", "symmetric"])
+    def test_failed_newton_runs_end_as_the_plain_fixed_point(self, monkeypatch, make):
+        # a start whose Newton run fails resumes the fixed point from where it
+        # left; with every run failing, the search finds what the fixed point
+        # alone finds (no handoff)
+        A = make(np.random.default_rng(75))
+        monkeypatch.setattr(oracle, "_HANDOFF", 0.0)
+        plain = bt.eigen_search(A, restarts=8, seed=5)
+        monkeypatch.setattr(oracle, "_HANDOFF", 1e-3)
+
+        # runs that take no step, so each start keeps its handoff defect
+        monkeypatch.setattr(oracle, "_NEWTON_STEPS", 0)
+        idle, counts = bt.search_report(A, restarts=8, seed=5)
+        assert counts.handed_off
+
+        # runs that report no progress at all
+        inner = oracle._newton
+
+        def failing(*args):
+            X, defect = inner(*args)
+            return X, np.full_like(defect, np.inf)
+
+        monkeypatch.setattr(oracle, "_newton", failing)
+        failed, counts = bt.search_report(A, restarts=8, seed=5)
+        assert counts.handed_off and counts.resumed == counts.handed_off
+        assert len(failed) == len(plain)
+        want = clusters(plain)
+        for pairs in (idle, failed):
+            got = clusters(pairs)
+            assert got.size == want.size and np.allclose(got, want, rtol=0.0, atol=1e-7)
+
+
+class TestSearchReport:
+    def test_counts_add_up(self):
+        rng = np.random.default_rng(76)
+        for A in (random_z(rng, 3, 4), random_symmetric(rng, 4, 3), bt.Tensor.ones(4, 3)):
+            pairs, counts = bt.search_report(A, restarts=16, seed=2)
+            again = bt.eigen_search(A, restarts=16, seed=2)
+            assert [p.to_json_dict() for p in pairs] == [p.to_json_dict() for p in again]
+            assert counts.handed_off == counts.polished + counts.resumed
+            # every start ends polished or retired from the fixed point
+            assert (counts.polished + counts.converged + counts.stalled
+                    + counts.degenerate) == 32
+            assert counts.pairs == len(pairs) <= counts.pairs_found
+            assert counts.passes > 0
+            assert counts.newton_steps > 0
+
+    def test_overflowing_shift_is_a_precondition_error(self):
+        # (0, ones) is an eigenpair, but the shift bound 1 + max|row sum| is
+        # infinite, so the search cannot run
+        A = make_cancelling_rows()
+        assert bt.residual(A, 0.0, np.ones(8)) == 0.0
+        with pytest.raises(bt.PreconditionError, match="float range"):
+            bt.eigen_search(A, restarts=8)
