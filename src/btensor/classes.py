@@ -11,6 +11,10 @@ tolerance: class membership is a discrete fact about the stored values.
 Witnesses carry a ``margin`` field (lhs - rhs) for callers who care about
 closeness.
 
+Each inequality has one float expression: F_B and F_doublyB are bitwise
+``is_b(f_transform(A))`` and ``is_doubly_b(f_transform(A))``, the B and
+doubly-B tests run on the flipped rows as read off A's own row stats.
+
 Note: a competing definition of doubly diagonal dominance exists in the
 literature that adds a per-row constraint; only the pairwise-product form
 is implemented here.
@@ -19,6 +23,7 @@ is implemented here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -105,31 +110,27 @@ def _doubly_b_witness(stats):
     return _first_failing_pair(stats.diag - stats.r_plus, stats.upper_deficit)
 
 
-def _f_checks(stats):
-    """Shared inequalities characterizing when the sign-flipped tensor is (doubly) B."""
-    r = stats.r_signed
-    diag_ok = _first_failing_row(np.abs(stats.diag), np.abs(r))
-    gaps = np.abs(stats.diag - r)
-    return diag_ok, gaps
+def _flipped(stats):
+    """What the B and doubly-B witnesses read, for ``f_transform(A)`` from
+    A's stats: a negative-diagonal row has diag, r_plus, row_sum and upper
+    deficit -diag, -r_minus, -row_sum and the lower excess, all exactly; a
+    zero-diagonal row is zero.  What is flipped or zeroed is written +0.0."""
+    positive, negative = stats.diag > 0, stats.diag < 0
 
+    def flip(kept, negated):
+        return np.where(positive, kept, np.where(negative, negated, 0.0))
 
-def _f_b_witness(stats):
-    diag_bad, gaps = _f_checks(stats)
-    if diag_bad is not None:
-        return diag_bad
-    return _first_failing_row(gaps, stats.signed_deficit)
-
-
-def _f_doubly_b_witness(stats):
-    diag_bad, gaps = _f_checks(stats)
-    if diag_bad is not None:
-        return diag_bad
-    return _first_failing_pair(gaps, stats.signed_deficit)
+    return SimpleNamespace(
+        diag=flip(stats.diag, 0.0 - stats.diag),
+        r_plus=flip(stats.r_plus, 0.0 - stats.r_minus),
+        row_sum=flip(stats.row_sum, 0.0 - stats.row_sum),
+        upper_deficit=flip(stats.upper_deficit, stats.lower_excess),
+        width=stats.width)
 
 
 def is_z(A: Tensor) -> bool:
     """True when every off-diagonal entry is nonpositive."""
-    return _z_witness(row_stats(A)) is None
+    return bool(np.all(_r_plus(A) == 0.0))
 
 
 def is_b(A: Tensor) -> bool:
@@ -181,13 +182,13 @@ def f_transform(A: Tensor) -> Tensor:
 
 
 def check_f_b(A: Tensor) -> bool:
-    """Equivalent to ``is_b(f_transform(A))``, via direct inequalities on r_signed."""
-    return _f_b_witness(row_stats(A)) is None
+    """Bitwise ``is_b(f_transform(A))``, computed from A's row stats."""
+    return _b_witness(_flipped(row_stats(A))) is None
 
 
 def check_f_doubly_b(A: Tensor) -> bool:
-    """Equivalent to ``is_doubly_b(f_transform(A))``, via direct inequalities."""
-    return _f_doubly_b_witness(row_stats(A)) is None
+    """Bitwise ``is_doubly_b(f_transform(A))``, computed from A's row stats."""
+    return _doubly_b_witness(_flipped(row_stats(A))) is None
 
 
 def classify(A: Tensor) -> ClassReport:
@@ -198,6 +199,7 @@ def classify(A: Tensor) -> ClassReport:
     report is returned.
     """
     stats = row_stats(A)
+    flipped = _flipped(stats)
     checks = {
         "Z": _z_witness(stats),
         "B": _b_witness(stats),
@@ -205,8 +207,8 @@ def classify(A: Tensor) -> ClassReport:
         "doublyB": _doubly_b_witness(stats),
         "SDD": _sdd_witness(stats),
         "SDDD": _sddd_witness(stats),
-        "F_B": _f_b_witness(stats),
-        "F_doublyB": _f_doubly_b_witness(stats),
+        "F_B": _b_witness(flipped),
+        "F_doublyB": _doubly_b_witness(flipped),
     }
     flags = {name: checks[name] is None for name in FLAG_NAMES}
     witnesses = {name: w for name, w in checks.items() if w is not None}
@@ -215,6 +217,9 @@ def classify(A: Tensor) -> ClassReport:
 
 
 def _validate_flags(flags):
+    # "B implies B0" and both Z-tensor rules hold by construction at k_i = 0
+    # (no row scaled near DBL_MAX): one float expression each, see RowStats.
+    # The implications to doublyB and SDDD can fail on rounding or overflow.
     rules = [
         (flags["B"] and not flags["doublyB"], "B implies doublyB"),
         (flags["SDD"] and not flags["SDDD"], "SDD implies SDDD"),

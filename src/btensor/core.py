@@ -50,6 +50,24 @@ def _frozen(arr):
     return arr
 
 
+def _header(order, dim, entry_cap):
+    """``order`` and ``dim`` as ints and the entry count n**m, checked
+    before anything is allocated."""
+    order = _as_int(order, "order")
+    dim = _as_int(dim, "dim")
+    if order < 2:
+        raise InputError(f"order must be at least 2, got {order}")
+    if dim < 1:
+        raise InputError(f"dim must be at least 1, got {dim}")
+    count = dim**order
+    if count > entry_cap:
+        raise InputError(
+            f"tensor with dim {dim} and order {order} needs {count} entries, "
+            f"above the cap of {entry_cap}"
+        )
+    return order, dim, count
+
+
 def _diag_index(n, m):
     return tuple([np.arange(n)] * m)
 
@@ -65,18 +83,7 @@ class Tensor:
     __slots__ = ("order", "dim", "_array")
 
     def __init__(self, order, dim, entries, entry_cap=DEFAULT_ENTRY_CAP):
-        order = _as_int(order, "order")
-        dim = _as_int(dim, "dim")
-        if order < 2:
-            raise InputError(f"order must be at least 2, got {order}")
-        if dim < 1:
-            raise InputError(f"dim must be at least 1, got {dim}")
-        count = dim**order
-        if count > entry_cap:
-            raise InputError(
-                f"tensor with dim {dim} and order {order} needs {count} entries, "
-                f"above the cap of {entry_cap}"
-            )
+        order, dim, count = _header(order, dim, entry_cap)
         if isinstance(entries, (list, tuple)):
             _reject_non_numbers(entries)
         try:
@@ -183,12 +190,7 @@ class Tensor:
             raise InputError("tensor JSON needs exactly one of 'dense' or 'sparse'")
         if has_dense:
             return cls(order, dim, obj["dense"], entry_cap=entry_cap)
-        order = _as_int(order, "order")
-        dim = _as_int(dim, "dim")
-        if order < 2 or dim < 1:
-            raise InputError(f"bad tensor header: order {order}, dim {dim}")
-        if dim**order > entry_cap:
-            raise InputError(f"tensor exceeds the entry cap of {entry_cap}")
+        order, dim, _ = _header(order, dim, entry_cap)
         arr = np.zeros((dim,) * order)
         seen = set()
         records = obj["sparse"]
@@ -217,26 +219,23 @@ class Tensor:
             except (TypeError, ValueError, OverflowError):
                 raise InputError(
                     f"sparse value {record['val']!r} must be a real number") from None
-        return cls(order, dim, arr, entry_cap=entry_cap)
+        return cls._wrap(arr)
 
 
 @dataclass(frozen=True)
 class RowStats:
     """Per-row aggregates; every array field has length ``dim``.
 
-    ``r_plus`` is the largest off-diagonal row entry clamped below at 0,
-    ``r_minus`` the smallest clamped above at 0, and ``r_signed`` selects
-    ``r_plus``, 0 or ``r_minus`` according to the sign of the diagonal.
-    ``width`` is W = n**(m-1).
+    ``r_plus`` is the largest off-diagonal row entry clamped below at 0 and
+    ``r_minus`` the smallest clamped above at 0.  ``width`` is W = n**(m-1).
 
     The rest is in closed form from the off-diagonal sum S, summed directly
     so that a large diagonal cannot absorb the other entries:
 
+    * ``row_sum`` is diag + S; on a Z-row S is bitwise -``off_diag_abs_sum``,
+      so B (row sum > 0 there) and SDD decide one inequality;
     * ``upper_deficit``, the sum of (r_plus - a), is (W - 1) r_plus - S;
     * ``lower_excess``, the sum of (a - r_minus), is S - (W - 1) r_minus;
-    * ``signed_deficit``, the sum of |r_signed - a|, is the upper deficit,
-      the lower excess or ``off_diag_abs_sum`` for a positive, negative or
-      zero diagonal;
     * ``lows``: L = diag - r_plus - upper deficit = row_sum - W r_plus, the
       B-tensor margin; ``highs``: U = diag - r_minus + lower excess =
       row_sum - W r_minus.
@@ -252,12 +251,10 @@ class RowStats:
     diag: np.ndarray
     r_plus: np.ndarray
     r_minus: np.ndarray
-    r_signed: np.ndarray
     row_sum: np.ndarray
     off_diag_abs_sum: np.ndarray
     upper_deficit: np.ndarray
     lower_excess: np.ndarray
-    signed_deficit: np.ndarray
     lows: np.ndarray
     highs: np.ndarray
     width: float
@@ -322,18 +319,18 @@ def _row_sweep(scratch, rows, pos, diag):
     (r_plus,) = _r_plus_sweep(scratch, rows, pos)
     scratch[idx, pos] = np.inf
     r_minus = np.minimum(0.0, scratch.min(axis=1))
-    scratch[idx, pos] = diag
+    scratch[idx, pos] = 0.0
     # (max|a| over O(n) values in Python: cheaper than numpy at desk size)
     top = max(map(abs, diag.tolist() + r_plus.tolist() + r_minus.tolist()))
-    plus, minus, k = r_plus, r_minus, None
+    d, plus, minus, k = diag, r_plus, r_minus, None
     if math.frexp(top)[1] + math.frexp(width)[1] > 1021:
         top = np.abs((diag, r_plus, r_minus)).max(axis=0)
         k = np.maximum(0, np.frexp(top)[1] + math.frexp(width)[1] - 1021)
         np.ldexp(scratch, -k[:, None], out=scratch)
-        plus, minus = np.ldexp(r_plus, -k), np.ldexp(r_minus, -k)
-    row_sum = scratch.sum(axis=1)
-    scratch[idx, pos] = 0.0
+        d, plus, minus = (np.ldexp(v, -k) for v in (diag, r_plus, r_minus))
     off_sum = scratch.sum(axis=1)
+    # off_sum and the absolute sum run on one buffer in one order
+    row_sum = d + off_sum
     np.abs(scratch, out=scratch)
     sums = (row_sum, scratch.sum(axis=1),
             np.maximum((width - 1) * plus - off_sum, 0.0),
@@ -353,15 +350,11 @@ def row_stats(A: Tensor) -> RowStats:
     diag = rows[np.arange(n), pos]
     r_plus, r_minus, row_sum, off_diag_abs_sum, upper, lower, lows, highs = _blockwise(
         _row_sweep, _scratch(n, width), rows, pos, diag)
-    positive, negative = diag > 0, diag < 0
-    r_signed = np.where(positive, r_plus, np.where(negative, r_minus, 0.0))
     upper_deficit = np.where(r_plus == 0.0, off_diag_abs_sum, upper)
     lower_excess = np.where(r_minus == 0.0, off_diag_abs_sum, lower)
-    signed_deficit = np.where(positive, upper_deficit,
-                              np.where(negative, lower_excess, off_diag_abs_sum))
 
-    fields = (diag, r_plus, r_minus, r_signed, row_sum, off_diag_abs_sum,
-              upper_deficit, lower_excess, signed_deficit, lows, highs)
+    fields = (diag, r_plus, r_minus, row_sum, off_diag_abs_sum,
+              upper_deficit, lower_excess, lows, highs)
     for f in fields:
         f.setflags(write=False)
     return RowStats(*fields, width=float(width))

@@ -87,10 +87,10 @@ def intervals_z(A: Tensor) -> IntervalUnion:
     """Real-eigenvalue enclosure for a Z-tensor.
 
     The row intervals [row sum, diag - off-diagonal sum] are, on a
-    Z-tensor, the Gerschgorin discs [diag - R_i, diag + R_i] with R_i the
-    absolute off-diagonal sum, so the merged union returned here is the
-    Gerschgorin union once the Z check has passed.  Every real eigenvalue
-    of the tensor lies in it.
+    Z-tensor, bitwise the Gerschgorin discs [diag - R_i, diag + R_i] with
+    R_i the absolute off-diagonal sum, so the merged union returned here
+    is the Gerschgorin union once the Z check has passed.  Every real
+    eigenvalue of the tensor lies in it.
     """
     stats = row_stats(A)
     z_witness = classes._z_witness(stats)
@@ -109,13 +109,18 @@ def intervals_even_symmetric(A: Tensor) -> IntervalUnion:
     as in :class:`~btensor.core.RowStats`), but since L_i <= U_i for every
     row, that union is exactly [min L, max U]; only it is returned.
     """
+    stats = _even_symmetric_stats(A)
+    return IntervalUnion.from_intervals(
+        [Interval(float(stats.lows.min()), float(stats.highs.max()))])
+
+
+def _even_symmetric_stats(A):
+    """``row_stats(A)`` once A is checked to be of even order and symmetric."""
     if A.order % 2 != 0:
         raise PreconditionError(f"order must be even, got {A.order}")
     if not is_symmetric(A):
         raise PreconditionError("tensor must be symmetric")
-    stats = row_stats(A)
-    return IntervalUnion.from_intervals(
-        [Interval(float(stats.lows.min()), float(stats.highs.max()))])
+    return row_stats(A)
 
 
 def intervals_odd_or_n2(A: Tensor) -> IntervalUnion:
@@ -243,11 +248,7 @@ def definiteness(A: Tensor) -> DefinitenessVerdict:
     Near DBL_MAX, L comes from power-of-two scaled rows and can stay
     positive where :func:`~btensor.classes.is_b` compares inf with inf.
     """
-    if A.order % 2 != 0:
-        raise PreconditionError(f"order must be even, got {A.order}")
-    if not is_symmetric(A):
-        raise PreconditionError("tensor must be symmetric")
-    bound = float(row_stats(A).lows.min())
+    bound = float(_even_symmetric_stats(A).lows.min())
     if bound > 0.0:
         return DefinitenessVerdict("positive_definite", "B_test")
     if bound >= 0.0:

@@ -157,6 +157,33 @@ def random_mixed_diag(rng, m, n):
     return Tensor.from_array(arr)
 
 
+#: The nine tensor generators above, in a fixed order.
+GENERATORS = (random_tensor, random_z, random_sdd_z, random_sddd_z, random_b,
+              random_doubly_b, random_symmetric, random_symmetric_b, random_mixed_diag)
+
+
+def with_tie_row(rng, A):
+    """A with one random row's diagonal set to W r_plus minus the row's
+    off-diagonal sum, so that the row's B margin (on a Z-row, its SDD
+    margin) is 0 up to rounding."""
+    n, width = A.dim, A.dim ** (A.order - 1)
+    arr = A.array.copy()
+    rows = arr.reshape(n, width)
+    i = int(rng.integers(n))
+    d = i * ((width - 1) // (n - 1)) if n > 1 else 0
+    off = np.delete(rows[i], d)
+    rows[i, d] = width * off.max(initial=0.0) - off.sum()
+    return Tensor.from_array(arr)
+
+
+def tie_row_tensors(rng, sizes, draws, generators=GENERATORS):
+    """``draws`` tie-row tensors from each generator at each (m, n)."""
+    for make in generators:
+        for m, n in sizes:
+            for _ in range(draws):
+                yield with_tie_row(rng, make(rng, m, n))
+
+
 def random_hypergraph(rng, n, m, max_edges=None):
     """Uniform random m-uniform hypergraph on n vertices without duplicates."""
     from itertools import combinations

@@ -1,5 +1,7 @@
 """Class predicates, transforms, and their equivalence ladder."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from cases import (
     random_sddd_z,
     random_tensor,
     random_z,
+    tie_row_tensors,
 )
 
 
@@ -186,13 +189,14 @@ class TestBoundaryTies:
             "pair": [1, 2], "lhs": 1.5, "rhs": 1.5, "margin": 0.0}
 
     def test_f_b_tie_on_negative_diagonal(self):
-        # row 1: |diag - r_minus| = 1.5 equals the lower excess 0 + 1 + 0.5
+        # row 1 flipped is (2, 0.5, -0.5, 0): row sum 2 equals 4 * r_plus 0.5
         A = bt.Tensor(3, 2, [-2.0, -0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 4.0])
         report = bt.classify(A)
         assert not report.flags["F_B"] and report.flags["F_doublyB"]
-        assert report.witnesses["F_B"] == {"row": 1, "lhs": 1.5, "rhs": 1.5, "margin": 0.0}
+        assert report.witnesses["F_B"] == {"row": 1, "lhs": 2.0, "rhs": 2.0, "margin": 0.0}
         F = bt.f_transform(A)
         assert not bt.is_b(F) and bt.is_doubly_b(F)
+        assert report.witnesses["F_B"] == bt.classify(F).witnesses["B"]
 
 
 class TestLargeDiagonal:
@@ -223,6 +227,44 @@ class TestLargeDiagonal:
         assert report.witnesses["F_doublyB"] == {
             "pair": [1, 2], "lhs": 1e16, "rhs": 1.2e16, "margin": 1e16 - 1.2e16}
         assert not bt.is_doubly_b(bt.f_transform(A))
+
+
+class TestTieRows:
+    """One row of each tensor has its B margin at rounding level: each
+    inequality must then be decided by one float expression, whatever name
+    it is tested under."""
+
+    SIZES = [(m, n) for m in (2, 3, 4) for n in (2, 3, 4)]
+
+    def test_f_flags_and_witnesses_are_the_transform_path(self):
+        rng = np.random.default_rng(2024)
+        for A in tie_row_tensors(rng, self.SIZES, 10):
+            report = bt.classify(A)
+            flipped = bt.classify(bt.f_transform(A))
+            assert report.flags["F_B"] == flipped.flags["B"]
+            assert report.flags["F_doublyB"] == flipped.flags["doublyB"]
+            assert report.witnesses.get("F_B") == flipped.witnesses.get("B")
+            assert report.witnesses.get("F_doublyB") == flipped.witnesses.get("doublyB")
+
+    def test_z_tensors_classify_with_b_equal_to_sdd(self):
+        rng = np.random.default_rng(2025)
+        sizes = [(m, n) for m in range(2, 6) for n in range(2, 6)]
+        for A in tie_row_tensors(rng, sizes, 10, (random_z, random_sdd_z, random_sddd_z)):
+            flags = bt.classify(A).flags
+            assert flags["Z"] and flags["B"] == flags["SDD"]
+
+    def test_f_flags_near_overflow_are_the_transform_path(self):
+        # ties survive an exact power-of-two scaling up to 1e290..1e308;
+        # flags only: pair products and margins may overflow here
+        rng = np.random.default_rng(2026)
+        for A in tie_row_tensors(rng, self.SIZES, 4):
+            top = float(np.abs(A.array).max())
+            shift = math.frexp(10.0 ** rng.uniform(290, 308))[1] - math.frexp(top)[1]
+            big = bt.Tensor.from_array(np.ldexp(A.array, shift))
+            F = bt.f_transform(big)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert bt.check_f_b(big) == bt.is_b(F)
+                assert bt.check_f_doubly_b(big) == bt.is_doubly_b(F)
 
 
 def _ladder_instances(rng, count):

@@ -179,6 +179,10 @@ class TestEpsilonChoice:
             st_ = bt.row_stats(bt.Tensor.from_array(arr))
             arr[(0,) * m] = st_.width * st_.r_plus[0] - (st_.row_sum[0] - arr[(0,) * m])
             cases.append((bt.decompose_b, bt.is_b, check_b_invariants, arr))
+            # the same row one ulp above the tie, which can land on it exactly
+            arr = arr.copy()
+            arr[(0,) * m] = np.nextafter(arr[(0,) * m], np.inf)
+            cases.append((bt.decompose_b, bt.is_b, check_b_invariants, arr))
             # rows 1, 2 of a doubly B-tensor with d_1 d_2 = s_1 s_2, rounded
             arr = random_doubly_b(rng, m, n).array.copy()
             st_ = bt.row_stats(bt.Tensor.from_array(arr))

@@ -101,6 +101,23 @@ class TestJson:
             bt.Tensor.from_json_dict({
                 "order": 2, "dim": 2, "sparse": [{"idx": [3, 1], "val": 1.0}]})
 
+    @pytest.mark.parametrize("header", [
+        {"order": 1, "dim": 2}, {"order": 2, "dim": 0}, {"order": 4, "dim": 200},
+        {"order": "2", "dim": 2}, {"order": 2, "dim": True},
+    ])
+    def test_sparse_and_dense_share_the_header_check(self, header):
+        messages = []
+        for payload in ({"dense": []}, {"sparse": []}):
+            with pytest.raises(bt.InputError) as info:
+                bt.Tensor.from_json_dict({**header, **payload})
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_sparse_value_must_be_finite(self):
+        with pytest.raises(bt.InputError, match="finite"):
+            bt.Tensor.from_json_dict({
+                "order": 2, "dim": 2, "sparse": [{"idx": [1, 2], "val": float("inf")}]})
+
 
 class TestContract:
     def test_all_ones_annihilates_balanced_vector(self):
@@ -178,14 +195,6 @@ class TestRowStats:
         assert st_.row_sum[1] == -1.0
         assert st_.off_diag_abs_sum[1] == 3.0
 
-    def test_r_signed_selects_by_diagonal_sign(self):
-        arr = np.zeros((2, 2))
-        arr[0, 0], arr[0, 1] = -2.0, -0.5
-        arr[1, 1], arr[1, 0] = 3.0, 0.25
-        st_ = bt.row_stats(bt.Tensor.from_array(arr))
-        assert st_.r_signed[0] == -0.5
-        assert st_.r_signed[1] == 0.25
-
     def test_invariant_bounds(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
@@ -231,7 +240,6 @@ class TestRowStats:
                 want = {
                     "upper_deficit": math.fsum(st_.r_plus[i] - off),
                     "lower_excess": math.fsum(off - st_.r_minus[i]),
-                    "signed_deficit": math.fsum(abs(st_.r_signed[i] - off)),
                 }
                 # the error scale is the off-diagonal part of the row alone
                 ulp = np.spacing(width * np.abs(off).max())
@@ -253,7 +261,7 @@ class TestRowStats:
         # infinity only where that result exceeds DBL_MAX
         rng = np.random.default_rng(17)
         fields = ("row_sum", "off_diag_abs_sum", "upper_deficit", "lower_excess",
-                  "signed_deficit", "lows", "highs")
+                  "lows", "highs")
         for k in range(12):
             A = random_tensor(rng, 2 + k % 3, 2 + k % 2)
             width = A.dim ** (A.order - 1)
