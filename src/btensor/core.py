@@ -59,6 +59,13 @@ def _header(order, dim, entry_cap):
         raise InputError(f"order must be at least 2, got {order}")
     if dim < 1:
         raise InputError(f"dim must be at least 1, got {dim}")
+    if dim > 1 and (dim > entry_cap or order > math.log2(max(entry_cap, 1))):
+        # dim**order >= max(dim, 2**order) is above the cap; the exact power
+        # can take minutes to compute and have too many digits to print
+        raise InputError(
+            f"tensor with dim {dim} and order {order} needs more entries "
+            f"than the cap of {entry_cap}"
+        )
     count = dim**order
     if count > entry_cap:
         raise InputError(
@@ -294,7 +301,7 @@ def _r_plus_sweep(scratch, rows, pos):
     the block in ``scratch`` with -inf on the diagonal."""
     np.copyto(scratch, rows)
     scratch[np.arange(len(rows)), pos] = -np.inf
-    return (np.maximum(0.0, scratch.max(axis=1)),)
+    return (np.maximum(scratch.max(axis=1), 0.0),)
 
 
 def _r_plus(A: Tensor) -> np.ndarray:

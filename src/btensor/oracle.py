@@ -13,6 +13,15 @@ what it converges to is polished by a second such run.  So pairs on
 simple eigenvalues are solved to rounding level, and starts that found
 the same pair merge in the dedupe.
 
+The fixed point contracts the tensor with x^(m-1) through its
+symmetrization over the last m-1 indices, which gives the same vector:
+once per search, A's entries are summed over each multiset of those
+indices, and each pass multiplies these sums with the C(n+m-2, m-1)
+distinct monomials of degree m-1 in x, for all starts at once.  Each
+degree of monomials is one gather of those a degree lower times one
+gathered component.  The batch is held component-major, one column per
+start, so the per-start reductions run down the columns.
+
 Every returned pair is re-verified through :func:`residual`, an
 independent code path from the solvers.  Eigenvectors are normalized to
 max-norm 1 with the first nonzero component positive (a vector and its
@@ -286,7 +295,8 @@ class SearchCounts:
     stays in the fixed point ends as one of ``converged`` (defect within
     0.9 tol), ``stalled`` (no gain in 200 steps, or out of steps) or
     ``degenerate`` (the iterate left the float range or vanished).
-    ``passes`` counts passes of the fixed-point loop over its batch and
+    ``halvings`` counts the times a start's shift was halved, ``passes``
+    the passes of the fixed-point loop over its batch and
     ``newton_steps`` the stacked bordered solves of both Newton runs;
     ``pairs_found`` is the number of verified pairs before the dedupe,
     ``pairs`` after it.
@@ -298,6 +308,7 @@ class SearchCounts:
     converged: int = 0
     stalled: int = 0
     degenerate: int = 0
+    halvings: int = 0
     passes: int = 0
     newton_steps: int = 0
     pairs_found: int = 0
@@ -326,13 +337,13 @@ def search_report(A: Tensor, restarts: int = 64, seed: int = 0,
     starts = rng.standard_normal((restarts, n))
     zero_rows = ~np.any(starts != 0.0, axis=1)
     starts[zero_rows, 0] = 1.0
-    starts = _canonical_rows(starts)
-    # rows [0, restarts) iterate on A, rows [restarts, 2 * restarts) on -A
+    starts = _canonical_rows(starts).T
+    # columns [0, restarts) iterate on A, columns [restarts, 2 * restarts) on -A
     signs = np.repeat([1.0, -1.0], restarts)
 
     counts = SearchCounts()
     pairs = []
-    for x in _batched_fixed_point(rows, signs, m, np.vstack([starts, starts]),
+    for x in _batched_fixed_point(rows, signs, m, np.hstack([starts, starts]),
                                   alpha0, tol, counts):
         z = contract(A, x)
         xm = x ** (m - 1)
@@ -356,21 +367,66 @@ def _check_tol(tol):
 
 def _canonical_rows(X):
     """Row-wise max-norm scaling with the first nonzero component positive."""
-    return _scaled_rows(X, np.max(np.abs(X), axis=1))
+    return _scaled_columns(X.T, np.max(np.abs(X), axis=1)).T
 
 
-def _scaled_rows(X, scale):
-    """``X`` divided row-wise by ``scale``, each row's first nonzero
+def _scaled_columns(X, scale):
+    """``X`` divided column-wise by ``scale``, each column's first nonzero
     component made positive."""
-    X = X / scale[:, None]
-    first = X[np.arange(X.shape[0]), np.argmax(X != 0.0, axis=1)]
-    X[first < 0.0] *= -1.0
-    return X
+    first = X[0]
+    # the first component is nonzero in most columns; search only if not
+    if np.count_nonzero(first) < first.size:
+        first = X[np.argmax(X != 0.0, axis=0), np.arange(X.shape[1])]
+    return X / np.copysign(scale, first)
+
+
+def _power(X, p):
+    """``X ** p`` taken on the magnitudes, with the sign put back for odd
+    ``p``: numpy's pow leaves its vectorized path on negative bases."""
+    Y = np.abs(X) ** p
+    return Y if p % 2 == 0 else np.copysign(Y, X)
+
+
+def _monomial_plan(rows, m):
+    """``S`` and ``steps`` such that ``S @ _monomials(X, steps)`` is A x^(m-1)
+    for each column x of ``X``.
+
+    The C(n+m-2, m-1) distinct monomials of degree m-1 in x are indexed by
+    the nondecreasing index tuples, in lexicographic order; ``S`` holds A's
+    rows summed over each such multiset of the last m-1 indices.  Step d
+    builds the monomials of degree d as one of degree d-1 times one
+    component, so ``steps`` holds, per degree from 2 up, the index of that
+    monomial and of that component."""
+    n, p = rows.shape[0], m - 1
+    # each flat index of a row, its multi-index sorted, as a base-n code
+    key = np.sort(np.indices((n,) * p).reshape(p, -1), axis=0)
+    mono, ids = np.unique(np.ravel_multi_index(key, (n,) * p), return_inverse=True)
+    at = (np.arange(n)[:, None] * mono.size + ids).ravel()
+    S = np.bincount(at, weights=rows.ravel(), minlength=n * mono.size).reshape(n, -1)
+    steps = []
+    tuples = np.array(np.unravel_index(mono, (n,) * p))
+    for d in range(p, 1, -1):
+        prefix, parent = np.unique(np.ravel_multi_index(tuples[:-1], (n,) * (d - 1)),
+                                   return_inverse=True)
+        steps.append((parent, tuples[-1]))
+        tuples = np.array(np.unravel_index(prefix, (n,) * (d - 1)))
+    return S, steps[::-1]
+
+
+def _monomials(X, steps):
+    """The distinct monomials of :func:`_monomial_plan` of each column of
+    ``X``, one row per monomial."""
+    M = X
+    for parent, last in steps:
+        M = M.take(parent, axis=0)
+        M *= X.take(last, axis=0)
+    return M
 
 
 @dataclass
 class _Starts:
-    """Fixed-point state of a batch of starts, one row per start."""
+    """Fixed-point state of a batch of starts: one column per start in the
+    (n, k) arrays ``X`` and ``best_X``, one entry per start in the others."""
 
     X: np.ndarray
     signs: np.ndarray
@@ -384,9 +440,10 @@ class _Starts:
     #: its last pass, where its step budget ends
     cap: np.ndarray
 
-    def take(self, mask, passes=0):
-        """The starts in ``mask``, their pass counts moved back by ``passes``."""
-        part = _Starts(*(getattr(self, f.name)[mask] for f in fields(self)))
+    def take(self, idx, passes=0):
+        """The starts at the indices ``idx``, their pass counts moved back by
+        ``passes``."""
+        part = _Starts(*(v.take(idx, axis=-1) for v in vars(self).values()))
         part.deadline -= passes
         part.cap -= passes
         return part
@@ -396,39 +453,40 @@ def _batched_fixed_point(rows, signs, m, starts, alpha0, tol, counts, max_iter=1
     """Run the shifted fixed-point iteration on all starts at once, and
     finish the near-converged ones by Newton's method.
 
-    Start ``i`` iterates on the tensor with flattened rows ``rows`` times
-    ``signs[i]``, for at most ``max_iter`` steps.  A start leaves the batch
-    as soon as its defect is below ``_HANDOFF``.  When the batch is empty,
-    all starts that left are polished in one stacked Newton run
-    (:func:`_newton`).  A start whose Newton run does not reach the
-    fixed point's own bar, a defect within 0.9 tol, goes back to the fixed
-    point from the state it left it in, with the handoff off, and goes on
-    as it would have without the handoff.  The vectors that the fixed
-    point finishes that way, and those that Newton's method brought within
-    0.9 tol but not to ``_POLISH * max|a|``, get a second stacked Newton
-    run, which keeps a vector only where it ends within 0.9 tol.  Returns
-    the polished and the converged/best vectors (defect within ``tol``) in
-    start order; ``counts``, a :class:`SearchCounts`, tallies what each
-    start did.
+    Start ``i``, column ``i`` of the (n, k) array ``starts``, iterates on
+    the tensor with flattened rows ``rows`` times ``signs[i]``, for at most
+    ``max_iter`` steps.  A start leaves the batch as soon as its defect is
+    below ``_HANDOFF``.  When the batch is empty, all starts that left are
+    polished in one stacked Newton run (:func:`_newton`).  A start whose
+    Newton run does not reach the fixed point's own bar, a defect within
+    0.9 tol, goes back to the fixed point from the state it left it in,
+    with the handoff off, and goes on as it would have without the handoff.
+    The vectors that the fixed point finishes that way, and those that
+    Newton's method brought within 0.9 tol but not to ``_POLISH * max|a|``,
+    get a second stacked Newton run, which keeps a vector only where it
+    ends within 0.9 tol.  Returns the polished and the converged/best
+    vectors (defect within ``tol``) in start order; ``counts``, a
+    :class:`SearchCounts`, tallies what each start did.
     """
-    k = starts.shape[0]
+    k = starts.shape[1]
     batch = _Starts(X=starts.copy(), signs=signs, order=np.arange(k),
                     alpha=np.full(k, alpha0), prev=np.full(k, np.inf),
                     best_res=np.full(k, np.inf), best_X=starts.copy(),
                     deadline=np.full(k, _STALL + 1), cap=np.full(k, max_iter - 1))
     finished = {}
-    handed = _sweep(rows, m, batch, tol, _HANDOFF, finished, counts)
+    plan = _monomial_plan(rows, m)
+    handed = _sweep(plan, m, batch, tol, _HANDOFF, finished, counts)
     counts.handed_off = handed.order.size
     if handed.order.size:
         jac, target = _jacobian_rows(rows, m), _POLISH * float(np.abs(rows).max())
-        X, defect = _newton(jac, m, handed.X, target, counts)
+        X, defect = _newton(jac, m, handed.X.T, target, counts)
         polished = defect <= 0.9 * tol
         counts.polished = int(polished.sum())
         counts.resumed = counts.handed_off - counts.polished
         finished.update(zip(handed.order[polished], X[polished]))
         rough = polished & (defect > target)
         again = dict(zip(handed.order[rough], X[rough]))
-        _sweep(rows, m, handed.take(~polished), tol, 0.0, again, counts)
+        _sweep(plan, m, handed.take(np.flatnonzero(~polished)), tol, 0.0, again, counts)
         if again:
             # from within tol, a second run polishes what the first left rough
             # or the fixed point finished; it never ends worse than it starts
@@ -440,69 +498,75 @@ def _batched_fixed_point(rows, signs, m, starts, alpha0, tol, counts, max_iter=1
     return [finished[i] for i in sorted(finished)]
 
 
-def _sweep(rows, m, batch, tol, handoff, finished, counts):
+def _sweep(plan, m, batch, tol, handoff, finished, counts):
     """Iterate ``batch`` until every start has converged, stalled,
     degenerated, run out of steps or been handed off (defect below
-    ``handoff``).  Vectors of the retired starts whose best defect is
-    within ``tol`` go into ``finished``; returns the handed-off starts,
-    their state as it was before the step that handed them off, so that a
-    sweep of them repeats that step first."""
+    ``handoff``).  ``plan`` is the :func:`_monomial_plan` of the tensor.
+    Vectors of the retired starts whose best defect is within ``tol`` go
+    into ``finished``; returns the handed-off starts, their state as it was
+    before the step that handed them off, so that a sweep of them repeats
+    that step first."""
+    S, steps = plan
     power = 1.0 / (m - 1)
-    handed = [batch.take(np.zeros(batch.order.size, dtype=bool))]
+    handed = [batch.take([])]
     it, nearest_cap = 0, batch.cap.min() if batch.order.size else 0
     while batch.order.size:
         counts.passes += 1
         X = batch.X
-        W = X
-        for _ in range(m - 2):
-            W = (W[:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
-        # multiplying by -1 is exact: a -1 row sees the product with -A
-        Z = (W @ rows.T) * batch.signs[:, None]
-        XM = X ** (m - 1)
-        lam = (Z * XM).sum(axis=1) / (XM * XM).sum(axis=1)
-        res = np.max(np.abs(Z - lam[:, None] * XM), axis=1)
+        # multiplying by -1 is exact: a -1 column sees the product with -A
+        Z = S @ _monomials(X, steps)
+        Z *= batch.signs
+        XM = _power(X, m - 1)
+        lam = (Z * XM).sum(axis=0) / (XM * XM).sum(axis=0)
+        res = np.abs(Z - lam * XM).max(axis=0)
 
         if handoff:
             hand = res < handoff
-            if hand.any():
-                handed.append(batch.take(hand, passes=it))
-                stay = ~hand
-                batch, X, Z, XM, res = batch.take(stay), X[stay], Z[stay], XM[stay], res[stay]
+            if np.count_nonzero(hand):
+                handed.append(batch.take(np.flatnonzero(hand), passes=it))
+                stay = np.flatnonzero(~hand)
+                batch, X, Z, XM, res = (batch.take(stay), X.take(stay, axis=1),
+                                        Z.take(stay, axis=1), XM.take(stay, axis=1),
+                                        res.take(stay))
 
         improved = res < batch.best_res * (1.0 - 1e-6)
-        batch.best_res[improved] = res[improved]
-        batch.best_X[improved] = X[improved]
-        batch.deadline[improved] = it + _STALL + 1
+        np.copyto(batch.best_res, res, where=improved)
+        np.copyto(batch.best_X, X, where=improved)
+        np.copyto(batch.deadline, it + _STALL + 1, where=improved)
 
-        batch.alpha[res > batch.prev] *= 0.5
+        halve = res > batch.prev
+        counts.halvings += int(np.count_nonzero(halve))
+        np.multiply(batch.alpha, 0.5, out=batch.alpha, where=halve)
         batch.prev = res
-        Y = Z + batch.alpha[:, None] * XM
+        Y = batch.alpha * XM
+        Y += Z
         if m % 2 == 0:
-            Xn = np.sign(Y) * np.abs(Y) ** power
+            Xn = _power(Y, power)
         else:
-            # even component powers lose the sign; keep the current pattern
-            pattern = np.where(X != 0.0, np.sign(X), 1.0)
-            Xn = pattern * np.maximum(Y, 0.0) ** power
-        scale = np.max(np.abs(Xn), axis=1)
+            # even component powers lose the sign; keep the current pattern,
+            # a zero component counting as positive
+            Xn = np.copysign(np.maximum(Y, 0.0) ** power, X + 0.0)
+        scale = np.abs(Xn).max(axis=0)
 
         converged = res <= 0.9 * tol
         sound = np.isfinite(scale) & (scale > 0.0)
         retire = converged | ~sound | (batch.deadline <= it)
         if it >= nearest_cap:
             retire |= batch.cap <= it
-        if retire.any():
-            done, degenerate = int(converged.sum()), int((~sound & ~converged).sum())
+        if np.count_nonzero(retire):
+            done = int(np.count_nonzero(converged))
+            degenerate = int(np.count_nonzero(~sound & ~converged))
             counts.converged += done
             counts.degenerate += degenerate
-            counts.stalled += int(retire.sum()) - done - degenerate
+            counts.stalled += int(np.count_nonzero(retire)) - done - degenerate
             for i in np.nonzero(retire & (batch.best_res <= tol))[0]:
-                finished[batch.order[i]] = batch.best_X[i]
-            keep = ~retire
-            batch, Xn, scale = batch.take(keep), Xn[keep], scale[keep]
+                finished[batch.order[i]] = batch.best_X[:, i]
+            keep = np.flatnonzero(~retire)
+            batch, Xn, scale = batch.take(keep), Xn.take(keep, axis=1), scale.take(keep)
             nearest_cap = batch.cap.min() if batch.order.size else 0
-        batch.X = _scaled_rows(Xn, scale)
+        batch.X = _scaled_columns(Xn, scale)
         it += 1
-    return _Starts(*(np.concatenate([getattr(h, f.name) for h in handed])
+    return _Starts(*(np.concatenate([getattr(h, f.name) for h in handed], axis=-1)
                      for f in fields(_Starts)))
 
 
@@ -551,7 +615,7 @@ def _newton(jac, m, X, target, counts):
                 W = (W[:, :, None] * x[:, None, :]).reshape(live.size, -1)
             J = (W @ jac.T).reshape(-1, n, n)
             Z = (J @ x[:, :, None])[:, :, 0] / (m - 1)
-            XM = x ** (m - 1)
+            XM = _power(x, m - 1)
             if step == 0:
                 lam = (Z * XM).sum(axis=1) / (XM * XM).sum(axis=1)
             F = Z - lam[live, None] * XM
@@ -566,7 +630,7 @@ def _newton(jac, m, X, target, counts):
             if step == _NEWTON_STEPS or not go.any():
                 break
             live, x, J, F, XM = live[go], x[go], J[go], F[go], XM[go]
-            J[:, diag, diag] -= (m - 1) * lam[live, None] * x ** (m - 2)
+            J[:, diag, diag] -= (m - 1) * lam[live, None] * _power(x, m - 2)
             idx = np.arange(live.size)
             J[idx, :, pin[live]] = -XM
             d = _bordered_solve(J, -F)

@@ -92,6 +92,15 @@ class TestTransforms:
                 shift = bt.row_stats(A).r_plus.reshape((n,) + (1,) * (m - 1))
                 assert bt.a_plus(A).array.tobytes() == (A.array - shift).tobytes()
 
+    def test_r_plus_of_a_negative_zero_row_is_positive_zero(self):
+        # row 1's largest off-diagonal entry is -0.0; its r_plus is +0.0, so
+        # no witness carries rhs -0.0, and a_plus leaves its -0.0 entry as is
+        A = bt.Tensor(2, 2, [-1.0, -0.0, 0.0, 1.0])
+        assert not np.signbit(bt.row_stats(A).r_plus).any()
+        for witness in bt.classify(A).witnesses.values():
+            assert not math.copysign(1.0, witness["rhs"]) < 0.0
+        assert np.signbit(bt.a_plus(A).array[0, 1])
+
     def test_f_transform_positive_diag_is_identity(self):
         t43 = make_t43()
         assert bt.f_transform(t43) == t43

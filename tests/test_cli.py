@@ -173,6 +173,22 @@ class TestFailurePaths:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "input"
 
+    @pytest.mark.parametrize("header", [
+        {"order": 100_000, "dim": 3, "dense": []},
+        {"order": 10**9, "dim": 3, "dense": []},
+        {"order": 10**9, "dim": 2, "sparse": []},
+        {"order": 2, "dim": 10**4000, "dense": []},
+    ], ids=["order-1e5", "order-1e9", "order-1e9-sparse", "dim-4001-digits"])
+    def test_huge_header_exits_2(self, capsys, tmp_path, header):
+        # dim**order would have more digits than int-to-str prints, or take
+        # minutes to compute; the cap is decided without it
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(header))
+        code, out, err = run_main(capsys, ["classify", str(path)])
+        assert code == 2 and out == ""
+        last = json.loads(err)
+        assert last["error"] == "input" and "cap" in last["detail"]
+
     def test_method_tensor_mismatch_exits_3(self, capsys, ones43_path):
         code, _, err = run_main(capsys, ["intervals", "--method", "odd-n2",
                                          ones43_path])

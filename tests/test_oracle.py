@@ -1,6 +1,7 @@
 """Residual verification, exhaustive dim-2 eigenpairs, and the heuristic search."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -342,6 +343,38 @@ class TestNewtonFinish:
             assert got.size == want.size and np.allclose(got, want, rtol=0.0, atol=1e-7)
 
 
+class TestMonomialContraction:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_agrees_with_contract(self, m, n):
+        # both sides sum at most n**(m-1) products of an entry or a sum of
+        # entries with at most m-1 components of x in [-1, 1]; each is within
+        # gamma_K * sum|a| of the exact row value, K = n**(m-1) + m
+        rng = np.random.default_rng(80 + 10 * m + n)
+        A = random_tensor(rng, m, n)
+        rows = A.array.reshape(n, -1)
+        S, steps = oracle._monomial_plan(rows, m)
+        assert S.shape == (n, math.comb(n + m - 2, m - 1))
+        X = rng.uniform(-1.0, 1.0, size=(n, 16))
+        X[:, 0] = 1.0
+        Z = S @ oracle._monomials(X, steps)
+        K = n ** (m - 1) + m
+        gamma = K * 2.0**-53 / (1.0 - K * 2.0**-53)
+        bound = 2.0 * gamma * np.abs(rows).sum(axis=1)
+        for j in range(X.shape[1]):
+            assert np.all(np.abs(Z[:, j] - bt.contract(A, X[:, j])) <= bound)
+
+    @pytest.mark.parametrize("m, n", [(2, 4), (3, 5), (4, 6), (5, 3)])
+    def test_negation_gives_exactly_minus_s(self, m, n):
+        A = random_tensor(np.random.default_rng(90 + m), m, n)
+        rows = A.array.reshape(n, -1)
+        S, steps = oracle._monomial_plan(rows, m)
+        neg, neg_steps = oracle._monomial_plan(-rows, m)
+        assert np.array_equal(neg, -S)
+        assert all(np.array_equal(p, q) and np.array_equal(a, b)
+                   for (p, a), (q, b) in zip(steps, neg_steps))
+
+
 class TestSearchReport:
     def test_counts_add_up(self):
         rng = np.random.default_rng(76)
@@ -356,6 +389,8 @@ class TestSearchReport:
             assert counts.pairs == len(pairs) <= counts.pairs_found
             assert counts.passes > 0
             assert counts.newton_steps > 0
+            # a pass halves the shift of each of at most 32 live starts once
+            assert 0 < counts.halvings <= 32 * counts.passes
 
     def test_overflowing_shift_is_a_precondition_error(self):
         # (0, ones) is an eigenpair, but the shift bound 1 + max|row sum| is
