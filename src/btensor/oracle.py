@@ -373,10 +373,7 @@ def _canonical_rows(X):
 def _scaled_columns(X, scale):
     """``X`` divided column-wise by ``scale``, each column's first nonzero
     component made positive."""
-    first = X[0]
-    # the first component is nonzero in most columns; search only if not
-    if np.count_nonzero(first) < first.size:
-        first = X[np.argmax(X != 0.0, axis=0), np.arange(X.shape[1])]
+    first = X[np.argmax(X != 0.0, axis=0), np.arange(X.shape[1])]
     return X / np.copysign(scale, first)
 
 
