@@ -10,14 +10,24 @@ instead).  Reports go to standard output as JSON; failures print an error
 JSON object on standard error and exit with 2 (input or parse errors),
 3 (precondition or class-violation errors, or a result outside the float
 range, which strict JSON cannot carry) or 1 (an internal error: a result
-that failed its own post-construction check).
+that failed its own post-construction check).  A witness on an error line
+writes each non-finite side as ``null``.
+
+Reports are ``json.dumps(report, indent=2, allow_nan=False)`` byte for
+byte, written by ``_ReportEncoder``, which joins each list of floats in one
+call instead of taking json's pure-Python path for ``indent``.  ``main``
+builds its argument parser once per process, so a caller that runs it many
+times pays for argparse once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import classes, decompose, eigenloc, oracle
 from .core import Tensor
@@ -45,6 +55,7 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def _build_parser():
     parser = _Parser(prog="btensor", description="Structured tensor classes, "
                      "decompositions, and eigenvalue localization.")
@@ -113,12 +124,88 @@ def _run(args):
     raise InputError(f"unknown verb {args.verb!r}")
 
 
+class _ReportEncoder(json.JSONEncoder):
+    """Writes what ``json.JSONEncoder`` writes with an integer ``indent`` and
+    ``allow_nan=False``, the other options at their defaults, for values whose
+    dict keys are strings, but joins each list of floats in one call.  A
+    non-finite float raises ``ValueError`` as json's encoder does."""
+
+    def iterencode(self, o, _one_shot=False):
+        chunks = []
+        self._write(o, "\n", " " * self.indent, chunks)
+        return chunks
+
+    def _write(self, o, newline, indent, out):
+        # the order of json's own type tests: bool before int, int before float
+        if isinstance(o, str):
+            out.append(encode_basestring_ascii(o))
+        elif o is None:
+            out.append("null")
+        elif o is True:
+            out.append("true")
+        elif o is False:
+            out.append("false")
+        elif isinstance(o, int):
+            out.append(int.__repr__(o))
+        elif isinstance(o, float):
+            out.append(_float_text(o))
+        elif isinstance(o, (list, tuple)):
+            self._write_list(o, newline, indent, out)
+        elif isinstance(o, dict):
+            self._write_dict(o, newline, indent, out)
+        else:
+            self._write(self.default(o), newline, indent, out)
+
+    def _write_list(self, items, newline, indent, out):
+        if not items:
+            out.append("[]")
+            return
+        inner = newline + indent
+        separator = self.item_separator + inner
+        out.append("[" + inner)
+        try:
+            text = separator.join(map(float.__repr__, items))
+        except TypeError:  # an item that is not a float
+            for k, item in enumerate(items):
+                if k:
+                    out.append(separator)
+                self._write(item, inner, indent, out)
+        else:
+            if "n" in text:  # only "inf", "-inf" and "nan" hold an n
+                for item in items:
+                    _float_text(item)
+            out.append(text)
+        out.append(newline + "]")
+
+    def _write_dict(self, obj, newline, indent, out):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + indent
+        separator = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            out.append(separator + encode_basestring_ascii(key) + self.key_separator)
+            self._write(value, inner, indent, out)
+            separator = self.item_separator + inner
+        out.append(newline + "}")
+
+
+def _float_text(x):
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
 def _emit_error(code, exc):
     payload = {"error": code, "detail": str(exc)}
     witness = getattr(exc, "witness", None)
     if witness is not None:
-        payload["witness"] = witness
-    print(json.dumps(payload), file=sys.stderr)
+        payload["witness"] = {
+            key: None if isinstance(value, float) and not math.isfinite(value) else value
+            for key, value in witness.items()}
+    print(json.dumps(payload, allow_nan=False), file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -126,7 +213,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         report = _run(args)
         try:
-            text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+            text = json.dumps(report, cls=_ReportEncoder, indent=2, allow_nan=False)
         except ValueError:
             raise PreconditionError("the result exceeds the float range") from None
     except InputError as exc:
@@ -147,8 +234,10 @@ def main(argv=None) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
+            handle.write("\n")
     else:
         sys.stdout.write(text)
+        sys.stdout.write("\n")
     return 0
 
 

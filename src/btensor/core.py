@@ -172,7 +172,7 @@ class Tensor:
         return {
             "order": self.order,
             "dim": self.dim,
-            "dense": [float(v) for v in self._array.ravel()],
+            "dense": self._array.ravel().tolist(),
         }
 
     @classmethod

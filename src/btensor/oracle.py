@@ -60,7 +60,7 @@ class EigenPair:
     residual: float
 
     def to_json_dict(self):
-        return {"lambda": self.lam, "x": [float(v) for v in self.x],
+        return {"lambda": self.lam, "x": self.x.tolist(),
                 "residual": self.residual}
 
 

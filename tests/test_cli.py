@@ -1,15 +1,18 @@
 """Command-line interface: dispatch, JSON reports, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import btensor as bt
-from btensor.cli import _INTERVAL_METHODS, main
+from btensor.cli import _INTERVAL_METHODS, _ReportEncoder, main
 from cases import (
     make_cancelling_rows,
     make_t42,
@@ -294,6 +297,23 @@ class TestNearOverflow:
         last = json.loads(result.stderr.splitlines()[-1], parse_constant=_strict)
         assert last["error"] == "precondition"
 
+    def test_class_violation_witness_is_strict_json(self, tmp_path):
+        # both pair products overflow: lhs and rhs are inf and their margin is
+        # NaN, which the error line writes as null, keeping the detail text
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(
+            {"order": 2, "dim": 2, "dense": [1e200, -1e199, -1e199, 1e200]}))
+        result = subprocess.run(
+            [sys.executable, "-m", "btensor.cli", "decompose", "--method", "doubly-b",
+             str(path)], capture_output=True, text=True)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        last = json.loads(result.stderr.splitlines()[-1], parse_constant=_strict)
+        assert last == {"error": "class-violation",
+                        "detail": "not a doubly B-tensor: pair [1, 2] has inf <= inf",
+                        "witness": {"pair": [1, 2], "lhs": None, "rhs": None,
+                                    "margin": None}}
+
     def test_oracle_on_overflowing_shift_exits_3(self, tmp_path):
         path = tmp_path / "cancel.json"
         path.write_text(json.dumps(make_cancelling_rows().to_json_dict()))
@@ -359,3 +379,107 @@ class TestStrictJson:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             self.run_every_verb(capsys, tmp_path, payloads)
+
+
+def _library_report(verb, payload):
+    """The report of a CLI verb form, from the library calls alone."""
+    if verb[0] == "laplacian":
+        graph = bt.Hypergraph.from_json_dict(payload)
+        return {"tensor": bt.laplacian_tensor(graph).to_json_dict(),
+                "bounds": bt.laplacian_bounds(graph).to_json_dict()}
+    tensor = bt.Tensor.from_json_dict(payload)
+    if verb[0] == "oracle":
+        if tensor.dim == 2:
+            pairs = bt.eigenpairs_n2(tensor, tol=1e-8)
+        else:
+            pairs = bt.eigen_search(tensor, restarts=int(verb[2]), seed=0, tol=1e-8)
+        return [p.to_json_dict() for p in pairs]
+    calls = {
+        "classify": bt.classify,
+        "decompose b": bt.decompose_b,
+        "decompose doubly-b": bt.decompose_doubly_b,
+        "intervals z": bt.intervals_z,
+        "intervals even-sym": bt.intervals_even_symmetric,
+        "intervals odd-n2": bt.intervals_odd_or_n2,
+        "intervals gerschgorin": bt.intervals_gerschgorin,
+        "definiteness": bt.definiteness,
+    }
+    return calls[" ".join(v for v in verb if v != "--method")](tensor).to_json_dict()
+
+
+_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                              -1.7976931348623157e308]))
+_TEXT = st.text() | st.sampled_from(["", "\x00\x1f\x7f", "\"\\/\b\f\n\r\t",
+                                     "\u00e9\u2028\u2603", "\U0001f600\ud800"])
+_SCALARS = (_FLOATS | _FLOATS.map(np.float64) | st.integers()
+            | st.integers(min_value=2**64, max_value=2**400)
+            | st.integers(min_value=-2**400, max_value=-2**64)
+            | st.booleans() | st.none() | _TEXT)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=5)
+                   | st.lists(_FLOATS | _FLOATS.map(np.float64), max_size=8)),
+    max_leaves=30)
+
+
+def _both_encoders(value):
+    return (json.dumps(value, indent=2, allow_nan=False),
+            json.dumps(value, cls=_ReportEncoder, indent=2, allow_nan=False))
+
+
+class TestReportBytes:
+    """Reports are ``json.dumps(report, indent=2, allow_nan=False)`` byte for
+    byte, and repeated in-process calls behave as fresh processes."""
+
+    def test_stdout_is_json_dumps_of_the_library_report(self, capsys, tmp_path):
+        written = 0
+        for k, payload in enumerate(_fixture_payloads()):
+            path = tmp_path / f"input{k}.json"
+            path.write_text(json.dumps(payload))
+            for verb in _VERBS:
+                code, out, _ = run_main(capsys, verb + [str(path)])
+                if code == 0:
+                    expected = json.dumps(_library_report(verb, payload), indent=2,
+                                          allow_nan=False) + "\n"
+                    assert out == expected, (verb, payload)
+                    written += 1
+        assert written >= 30
+
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES)
+    def test_encoder_matches_json_dumps(self, value):
+        expected, got = _both_encoders(value)
+        assert got == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(_VALUES, st.lists(_FLOATS, max_size=8),
+           st.sampled_from([math.inf, -math.inf, math.nan]), st.data())
+    def test_non_finite_floats_raise_in_both_encoders(self, value, floats, bad, data):
+        floats.insert(data.draw(st.integers(0, len(floats))), bad)
+        for doc in ([value, floats], {"value": value, "bad": bad}, (bad,), bad,
+                    {"floats": [np.float64(x) for x in floats]}):
+            for cls in (None, _ReportEncoder):
+                with pytest.raises(ValueError):
+                    json.dumps(doc, cls=cls, indent=2, allow_nan=False)
+
+    def test_parser_reuse_matches_fresh_processes(self, capsys, tmp_path, t43_path):
+        target = tmp_path / "split.json"
+        calls = [["oracle", "--seed", "5", t43_path],
+                 ["decompose", "--method", "c", t43_path],
+                 ["decompose", "--method", "b", "--out", str(target), t43_path],
+                 ["oracle", t43_path]]
+        results = []
+        for argv in calls:
+            code, out, err = run_main(capsys, argv)
+            results.append((code, out, err, target.read_text() if target.exists() else None))
+            target.unlink(missing_ok=True)
+        assert [r[0] for r in results] == [0, 2, 0, 0]
+        assert results[0][1] != results[3][1]
+        for argv, result in zip(calls, results):
+            fresh = subprocess.run([sys.executable, "-m", "btensor.cli", *argv],
+                                   capture_output=True, text=True)
+            written = target.read_text() if target.exists() else None
+            target.unlink(missing_ok=True)
+            assert (fresh.returncode, fresh.stdout, fresh.stderr, written) == result, argv
