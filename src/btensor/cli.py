@@ -184,8 +184,6 @@ class _ReportEncoder(json.JSONEncoder):
         inner = newline + indent
         separator = "{" + inner
         for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be str, not {type(key).__name__}")
             out.append(separator + encode_basestring_ascii(key) + self.key_separator)
             self._write(value, inner, indent, out)
             separator = self.item_separator + inner
