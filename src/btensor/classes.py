@@ -49,35 +49,35 @@ class ClassReport:
         return {"flags": dict(self.flags), "witnesses": dict(self.witnesses)}
 
 
-def _row_witness(i, lhs, rhs):
-    return {"row": int(i) + 1, "lhs": float(lhs), "rhs": float(rhs),
-            "margin": float(lhs - rhs)}
+def _witness(where, lhs, rhs, *units):
+    """Both sides of a violated inequality multiplied back by the units of
+    its rows, as Python floats: exact, or infinite past DBL_MAX."""
+    lhs, rhs = float(lhs), float(rhs)
+    for unit in units:
+        lhs, rhs = lhs * float(unit), rhs * float(unit)
+    return {**where, "lhs": lhs, "rhs": rhs, "margin": lhs - rhs}
 
 
-def _pair_witness(i, j, lhs, rhs):
-    return {"pair": [int(i) + 1, int(j) + 1], "lhs": float(lhs), "rhs": float(rhs),
-            "margin": float(lhs - rhs)}
-
-
-def _first_failing_row(lhs, rhs, strict=True):
+def _first_failing_row(lhs, rhs, unit, strict=True):
     bad = lhs <= rhs if strict else lhs < rhs
     if not bad.any():
         return None
     i = int(np.argmax(bad))
-    return _row_witness(i, lhs[i], rhs[i])
+    return _witness({"row": i + 1}, lhs[i], rhs[i], unit[i])
 
 
-def _first_failing_pair(lhs, rhs, strict=True):
+def _first_failing_pair(lhs, rhs, unit):
     """First ordered pair i < j violating an outer-product inequality."""
     n = lhs.shape[0]
     left = np.outer(lhs, lhs)
     right = np.outer(rhs, rhs)
-    bad = left <= right if strict else left < right
+    bad = left <= right
     bad[np.diag_indices(n)] = False
     if not bad.any():
         return None
     i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    return _pair_witness(i, j, left[i, j], right[i, j])
+    return _witness({"pair": [int(i) + 1, int(j) + 1]}, left[i, j], right[i, j],
+                    unit[i], unit[j])
 
 
 def _z_witness(stats):
@@ -85,29 +85,29 @@ def _z_witness(stats):
     if np.all(stats.r_plus == 0.0):
         return None
     i = int(np.argmax(stats.r_plus > 0.0))
-    return _row_witness(i, stats.r_plus[i], 0.0)
+    return _witness({"row": i + 1}, stats.r_plus[i], 0.0, stats.unit[i])
 
 
 def _b_witness(stats, strict=True):
-    return _first_failing_row(stats.row_sum, stats.width * stats.r_plus, strict=strict)
+    return _first_failing_row(stats.row_sum, stats.width * stats.r_plus, stats.unit, strict)
 
 
 def _sdd_witness(stats):
-    return _first_failing_row(stats.diag, stats.off_diag_abs_sum)
+    return _first_failing_row(stats.diag, stats.off_diag_abs_sum, stats.unit)
 
 
 def _sddd_witness(stats):
-    bad_diag = _first_failing_row(stats.diag, np.zeros(stats.diag.shape[0]))
+    bad_diag = _first_failing_row(stats.diag, np.zeros(stats.diag.shape[0]), stats.unit)
     if bad_diag is not None:
         return bad_diag
-    return _first_failing_pair(stats.diag, stats.off_diag_abs_sum)
+    return _first_failing_pair(stats.diag, stats.off_diag_abs_sum, stats.unit)
 
 
 def _doubly_b_witness(stats):
-    bad_row = _first_failing_row(stats.diag, stats.r_plus)
+    bad_row = _first_failing_row(stats.diag, stats.r_plus, stats.unit)
     if bad_row is not None:
         return bad_row
-    return _first_failing_pair(stats.diag - stats.r_plus, stats.upper_deficit)
+    return _first_failing_pair(stats.diag - stats.r_plus, stats.upper_deficit, stats.unit)
 
 
 def _flipped(stats):
@@ -125,7 +125,7 @@ def _flipped(stats):
         r_plus=flip(stats.r_plus, 0.0 - stats.r_minus),
         row_sum=flip(stats.row_sum, 0.0 - stats.row_sum),
         upper_deficit=flip(stats.upper_deficit, stats.lower_excess),
-        width=stats.width)
+        unit=stats.unit, width=stats.width)
 
 
 def is_z(A: Tensor) -> bool:
@@ -217,9 +217,9 @@ def classify(A: Tensor) -> ClassReport:
 
 
 def _validate_flags(flags):
-    # "B implies B0" and both Z-tensor rules hold by construction at k_i = 0
-    # (no row scaled near DBL_MAX): one float expression each, see RowStats.
-    # The implications to doublyB and SDDD can fail on rounding or overflow.
+    # "B implies B0" and both Z-tensor rules hold by construction: one float
+    # expression each, see RowStats.  The implications to doublyB and SDDD
+    # can fail on rounding.
     rules = [
         (flags["B"] and not flags["doublyB"], "B implies doublyB"),
         (flags["SDD"] and not flags["SDDD"], "SDD implies SDDD"),

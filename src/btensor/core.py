@@ -22,6 +22,10 @@ DEFAULT_ENTRY_CAP = 10**8
 #: walks blocks of whole rows, so the buffer stays in cache and is not paged in.
 _BLOCK_ENTRIES = 1 << 17
 
+#: A row is divided by its unit once W max|a| reaches 2**_UNIT_EXPONENT.
+#: Doubly B's split squares sums of two fields, up to 2**(2 * 500 + 5).
+_UNIT_EXPONENT = 500
+
 
 def _as_int(value, name):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -249,10 +253,16 @@ class RowStats:
 
     A deficit (excess) is ``off_diag_abs_sum`` itself where r_plus (r_minus)
     is 0, so on Z-tensors doubly B and SDDD compare the same floats; else it
-    is clamped at 0 against rounding.  Near DBL_MAX each row's sums and
-    closed forms are taken on the row scaled by its own power of two, so no
-    field is NaN, and ``row_sum``, ``off_diag_abs_sum`` and the closed forms
-    are infinite only where the value itself, not a partial sum, overflows.
+    is clamped at 0 against rounding.
+
+    Every field of row i is given in the row's ``unit``, a power of two
+    2**k_i that is 1 unless the row's entries reach about 2**500 / W: the
+    stored values are those of the row divided by its unit, so every field
+    and every product of two fields is finite.  Every class inequality is
+    positively homogeneous, so a row test compares fields in one unit and a
+    pair test carries unit_i * unit_j on both sides; :meth:`in_units`
+    multiplies values back, to infinity only where the value itself
+    exceeds DBL_MAX.
     """
 
     diag: np.ndarray
@@ -264,7 +274,14 @@ class RowStats:
     lower_excess: np.ndarray
     lows: np.ndarray
     highs: np.ndarray
+    unit: np.ndarray
     width: float
+
+    def in_units(self, values):
+        """Per-row ``values`` given in the row units, times the units: exact,
+        or infinite where the product exceeds DBL_MAX."""
+        with np.errstate(over="ignore"):
+            return values * self.unit
 
 
 def _scratch(n, width):
@@ -314,39 +331,34 @@ def _r_plus(A: Tensor) -> np.ndarray:
 
 
 def _row_sweep(scratch, rows, pos, diag):
-    """Per-row aggregates of a block of rows whose diagonal sits at ``pos``.
-
-    The extremes are exact selections of the stored entries.  The sums and
-    closed forms of row i are taken on the row scaled by 2**-k_i, with
-    k_i = max(0, e(max|a|) + e(W) - 1021) for binary exponents e, and scaled
-    back; with k_i = 0 no bit changes.  Only the scaling back can overflow,
-    where the value itself exceeds DBL_MAX."""
+    """Per-row aggregates of a block of rows whose diagonal sits at ``pos``,
+    each row divided by its unit 2**k_i, k_i = max(0, e(max|a|) + e(W) -
+    ``_UNIT_EXPONENT``) for binary exponents e: every sum stays below about
+    2**500 and so every product of two fields below DBL_MAX.  With k_i = 0
+    no bit changes."""
     width = rows.shape[1]
     idx = np.arange(len(rows))
     (r_plus,) = _r_plus_sweep(scratch, rows, pos)
     scratch[idx, pos] = np.inf
     r_minus = np.minimum(0.0, scratch.min(axis=1))
     scratch[idx, pos] = 0.0
+    unit = np.ones(len(rows))
     # (max|a| over O(n) values in Python: cheaper than numpy at desk size)
     top = max(map(abs, diag.tolist() + r_plus.tolist() + r_minus.tolist()))
-    d, plus, minus, k = diag, r_plus, r_minus, None
-    if math.frexp(top)[1] + math.frexp(width)[1] > 1021:
+    if math.frexp(top)[1] + math.frexp(width)[1] > _UNIT_EXPONENT:
         top = np.abs((diag, r_plus, r_minus)).max(axis=0)
-        k = np.maximum(0, np.frexp(top)[1] + math.frexp(width)[1] - 1021)
+        k = np.maximum(0, np.frexp(top)[1] + math.frexp(width)[1] - _UNIT_EXPONENT)
+        unit = np.ldexp(unit, k)
         np.ldexp(scratch, -k[:, None], out=scratch)
-        d, plus, minus = (np.ldexp(v, -k) for v in (diag, r_plus, r_minus))
+        diag, r_plus, r_minus = (np.ldexp(v, -k) for v in (diag, r_plus, r_minus))
     off_sum = scratch.sum(axis=1)
     # off_sum and the absolute sum run on one buffer in one order
-    row_sum = d + off_sum
+    row_sum = diag + off_sum
     np.abs(scratch, out=scratch)
-    sums = (row_sum, scratch.sum(axis=1),
-            np.maximum((width - 1) * plus - off_sum, 0.0),
-            np.maximum(off_sum - (width - 1) * minus, 0.0),
-            row_sum - width * plus, row_sum - width * minus)
-    if k is not None:
-        with np.errstate(over="ignore"):
-            sums = [np.ldexp(v, k) for v in sums]
-    return (r_plus, r_minus, *sums)
+    return (diag, r_plus, r_minus, row_sum, scratch.sum(axis=1),
+            np.maximum((width - 1) * r_plus - off_sum, 0.0),
+            np.maximum(off_sum - (width - 1) * r_minus, 0.0),
+            row_sum - width * r_plus, row_sum - width * r_minus, unit)
 
 
 def row_stats(A: Tensor) -> RowStats:
@@ -354,14 +366,13 @@ def row_stats(A: Tensor) -> RowStats:
     buffer of at most ``_BLOCK_ENTRIES`` entries over blocks of whole rows."""
     rows, pos = _row_layout(A)
     n, width = rows.shape
-    diag = rows[np.arange(n), pos]
-    r_plus, r_minus, row_sum, off_diag_abs_sum, upper, lower, lows, highs = _blockwise(
-        _row_sweep, _scratch(n, width), rows, pos, diag)
+    (diag, r_plus, r_minus, row_sum, off_diag_abs_sum, upper, lower, lows, highs,
+     unit) = _blockwise(_row_sweep, _scratch(n, width), rows, pos, rows[np.arange(n), pos])
     upper_deficit = np.where(r_plus == 0.0, off_diag_abs_sum, upper)
     lower_excess = np.where(r_minus == 0.0, off_diag_abs_sum, lower)
 
     fields = (diag, r_plus, r_minus, row_sum, off_diag_abs_sum,
-              upper_deficit, lower_excess, lows, highs)
+              upper_deficit, lower_excess, lows, highs, unit)
     for f in fields:
         f.setflags(write=False)
     return RowStats(*fields, width=float(width))

@@ -102,9 +102,9 @@ def decompose_b(A: Tensor) -> Decomposition:
             f"<= {witness['rhs']}", witness=witness)
 
     slack = (stats.diag - stats.r_plus) - stats.upper_deficit
-    eps = _check_epsilon(float(slack.min()) / 2.0)
+    eps = _check_epsilon(float(stats.in_units(slack / 2.0).min()))
 
-    part_b, part_c = _split_off_row_constants(A, stats.r_plus.copy(), eps)
+    part_b, part_c = _split_off_row_constants(A, stats.in_units(stats.r_plus), eps)
     dec = Decomposition("B", part_b, part_c, eps)
     _verify(dec, A, classes._b_witness, "B")
     return dec
@@ -120,7 +120,9 @@ def decompose_doubly_b(A: Tensor) -> Decomposition:
     delta is the smallest over row pairs of the largest uniform diagonal
     decrease that keeps d_i d_j - s_i s_j an equality (the smaller root of
     the associated quadratic).  The doubly-B test has just accepted these
-    very floats, so only underflow can leave no positive epsilon.
+    very floats, so only underflow can leave no positive epsilon: the
+    quadratics are solved with every row in the largest row unit, where a
+    row below that unit by more than the float range has d = 0.
     """
     stats = row_stats(A)
     witness = classes._doubly_b_witness(stats)
@@ -130,22 +132,21 @@ def decompose_doubly_b(A: Tensor) -> Decomposition:
             f"not a doubly B-tensor: {where} has {witness['lhs']} <= {witness['rhs']}",
             witness=witness)
 
-    d = stats.diag - stats.r_plus
-    s = stats.upper_deficit
-    if A.dim >= 2:
-        di = d[:, None]
-        dj = d[None, :]
+    top = stats.unit.max()
+    d = (stats.diag - stats.r_plus) * (stats.unit / top)
+    s = stats.upper_deficit * (stats.unit / top)
+    delta = np.inf
+    if d.min() > 0.0:
         products = np.outer(d, d) - np.outer(s, s)
         # smaller quadratic root in rationalized form, stable when the
         # off-diagonal sums are tiny
-        delta_pairs = 2.0 * products / ((di + dj) + np.sqrt((di - dj) ** 2 + 4.0 * np.outer(s, s)))
+        delta_pairs = 2.0 * products / (np.add.outer(d, d) + np.sqrt(
+            np.subtract.outer(d, d) ** 2 + 4.0 * np.outer(s, s)))
         np.fill_diagonal(delta_pairs, np.inf)
         delta = float(delta_pairs.min())
-    else:
-        delta = np.inf
-    eps = _check_epsilon(min(delta, float(d.min())) / 2.0)
+    eps = _check_epsilon(min(delta, float(d.min())) / 2.0 * float(top))
 
-    constants = stats.r_plus.copy()
+    constants = stats.in_units(stats.r_plus)
     part_b, part_c = _split_off_row_constants(A, constants, eps)
     constants.setflags(write=False)
     dec = Decomposition("doublyB", part_b, part_c, eps, row_constants=constants)

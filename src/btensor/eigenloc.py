@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classes
-from .core import DEFAULT_ENTRY_CAP, Tensor, _as_int, _diag_index, is_symmetric, row_stats
+from .core import DEFAULT_ENTRY_CAP, Tensor, _as_int, _diag_index, _header, is_symmetric, row_stats
 from .errors import ClassViolationError, InputError, InternalError, PreconditionError
 
 
@@ -110,8 +110,8 @@ def intervals_even_symmetric(A: Tensor) -> IntervalUnion:
     row, that union is exactly [min L, max U]; only it is returned.
     """
     stats = _even_symmetric_stats(A)
-    return IntervalUnion.from_intervals(
-        [Interval(float(stats.lows.min()), float(stats.highs.max()))])
+    return IntervalUnion.from_intervals([Interval(
+        float(stats.in_units(stats.lows).min()), float(stats.in_units(stats.highs).max()))])
 
 
 def _even_symmetric_stats(A):
@@ -130,8 +130,7 @@ def intervals_odd_or_n2(A: Tensor) -> IntervalUnion:
         raise PreconditionError(
             f"order {A.order} is even and dim {A.dim} != 2; bound not applicable")
     stats = row_stats(A)
-    parts = [Interval(float(lo), float(hi)) for lo, hi in zip(stats.lows, stats.highs)]
-    return IntervalUnion.from_intervals(parts)
+    return _union(stats, stats.lows, stats.highs)
 
 
 def intervals_gerschgorin(A: Tensor) -> IntervalUnion:
@@ -140,9 +139,15 @@ def intervals_gerschgorin(A: Tensor) -> IntervalUnion:
 
 
 def _gerschgorin_union(stats):
-    parts = [Interval(float(d - s), float(d + s))
-             for d, s in zip(stats.diag, stats.off_diag_abs_sum)]
-    return IntervalUnion.from_intervals(parts)
+    return _union(stats, stats.diag - stats.off_diag_abs_sum,
+                  stats.diag + stats.off_diag_abs_sum)
+
+
+def _union(stats, lows, highs):
+    """Merged union of the row intervals [lows_i, highs_i], given in the row
+    units."""
+    return IntervalUnion.from_intervals(
+        map(Interval, stats.in_units(lows).tolist(), stats.in_units(highs).tolist()))
 
 
 def _as_list(value, name):
@@ -213,9 +218,7 @@ def laplacian_tensor(G: Hypergraph, entry_cap=DEFAULT_ENTRY_CAP) -> Tensor:
     remaining vertices receives the entry -1/(m-1)!, which makes all row
     sums zero and the result a Z-tensor.
     """
-    n, m = G.n, G.m
-    if n**m > entry_cap:
-        raise InputError(f"Laplacian tensor exceeds the entry cap of {entry_cap}")
+    m, n, _ = _header(G.m, G.n, entry_cap)
     arr = np.zeros((n,) * m)
     weight = -1.0 / math.factorial(m - 1)
     for edge in G.edges:
@@ -244,11 +247,9 @@ def definiteness(A: Tensor) -> DefinitenessVerdict:
     positive definite B-tensor, reported with method ``B_test`` and no
     bound.  A zero bound gives ``positive_semidefinite``; a negative one
     the fallback ``indefinite_possible``, which never claims indefiniteness.
-
-    Near DBL_MAX, L comes from power-of-two scaled rows and can stay
-    positive where :func:`~btensor.classes.is_b` compares inf with inf.
     """
-    bound = float(_even_symmetric_stats(A).lows.min())
+    stats = _even_symmetric_stats(A)
+    bound = float(stats.in_units(stats.lows).min())
     if bound > 0.0:
         return DefinitenessVerdict("positive_definite", "B_test")
     if bound >= 0.0:

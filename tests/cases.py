@@ -68,6 +68,11 @@ def matrix(rows):
     return Tensor.from_array(np.asarray(rows, dtype=float))
 
 
+def scaled(A, k):
+    """A times 2**k, exactly where no entry leaves the normal range."""
+    return Tensor.from_array(np.ldexp(A.array, k))
+
+
 # ---------------------------------------------------------------------------
 # random generators; all take an explicit rng for determinism
 

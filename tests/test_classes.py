@@ -81,15 +81,19 @@ class TestTransforms:
     @pytest.mark.parametrize("block_entries", [1, 50, 1 << 17])
     def test_a_plus_subtracts_the_row_stats_r_plus(self, monkeypatch, block_entries):
         # a_plus reads r_plus alone; in blocks of one, a few or all rows it
-        # must give bitwise the tensor row_stats' r_plus gives
+        # must give bitwise the tensor row_stats' r_plus gives once multiplied
+        # back by the row units, which exceed 1 on the rows near 1e300
         from btensor import core
 
         rng = np.random.default_rng(2)
         monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
         for m, n in [(2, 1), (2, 5), (3, 4), (4, 3), (5, 2), (3, 9)]:
-            for A in (random_tensor(rng, m, n), random_mixed_diag(rng, m, n),
-                      bt.Tensor.from_array(1e300 * random_tensor(rng, m, n).array)):
-                shift = bt.row_stats(A).r_plus.reshape((n,) + (1,) * (m - 1))
+            for big, A in [(False, random_tensor(rng, m, n)),
+                           (False, random_mixed_diag(rng, m, n)),
+                           (True, bt.Tensor.from_array(1e300 * random_tensor(rng, m, n).array))]:
+                stats = bt.row_stats(A)
+                assert np.all(stats.unit > 1.0) if big else np.all(stats.unit == 1.0)
+                shift = stats.in_units(stats.r_plus).reshape((n,) + (1,) * (m - 1))
                 assert bt.a_plus(A).array.tobytes() == (A.array - shift).tobytes()
 
     def test_r_plus_of_a_negative_zero_row_is_positive_zero(self):
@@ -225,6 +229,16 @@ class TestLargeDiagonal:
         with pytest.raises(bt.ClassViolationError):
             bt.decompose_doubly_b(A)
 
+    def test_tiny_row_beside_a_huge_one_keeps_its_classes(self):
+        # each row has its own unit: the 1e-300 row stays in unit 1 rather
+        # than underflowing in the unit of the 1e307 row
+        A = bt.Tensor(2, 2, [1e307, 0.0, 0.0, 1e-300])
+        stats = bt.row_stats(A)
+        assert stats.unit[0] > 1.0 and stats.unit[1] == 1.0
+        flags = bt.classify(A).flags
+        assert flags["SDD"] and flags["B"] and flags["doublyB"] and flags["SDDD"]
+        assert bt.is_sdd(A) and bt.is_b(A) and bt.is_doubly_b(A)
+
     def test_f_doubly_b_with_large_negative_diagonal(self):
         # order 3, dim 2.  Row 1: diagonal -1e16, off-diagonal (1, 1, -1), so
         # r_minus = -1 and the lower excess is 2 + 2 + 0 = 4.  Row 2: diagonal
@@ -263,17 +277,16 @@ class TestTieRows:
             assert flags["Z"] and flags["B"] == flags["SDD"]
 
     def test_f_flags_near_overflow_are_the_transform_path(self):
-        # ties survive an exact power-of-two scaling up to 1e290..1e308;
-        # flags only: pair products and margins may overflow here
+        # ties survive an exact power-of-two scaling up to 1e290..1e308,
+        # and no pair product overflows in the row units
         rng = np.random.default_rng(2026)
         for A in tie_row_tensors(rng, self.SIZES, 4):
             top = float(np.abs(A.array).max())
             shift = math.frexp(10.0 ** rng.uniform(290, 308))[1] - math.frexp(top)[1]
             big = bt.Tensor.from_array(np.ldexp(A.array, shift))
             F = bt.f_transform(big)
-            with np.errstate(over="ignore", invalid="ignore"):
-                assert bt.check_f_b(big) == bt.is_b(F)
-                assert bt.check_f_doubly_b(big) == bt.is_doubly_b(F)
+            assert bt.check_f_b(big) == bt.is_b(F)
+            assert bt.check_f_doubly_b(big) == bt.is_doubly_b(F)
 
 
 def _ladder_instances(rng, count):

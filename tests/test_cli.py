@@ -245,24 +245,79 @@ class TestDeterminism:
         assert json.loads(result.stdout)["flags"]["SDD"] is True
 
 
-class TestNearOverflow:
-    def test_internal_error_exits_1_without_traceback(self, tmp_path):
-        # both pair products overflow, so doubly B fails on inf <= inf while
-        # B holds, and classify's own flag check raises InternalError
-        path = tmp_path / "big.json"
-        path.write_text(json.dumps(
-            {"order": 2, "dim": 2, "dense": [1e307, -1e306, -1e306, 1e307]}))
-        result = subprocess.run(
-            [sys.executable, "-m", "btensor.cli", "classify", str(path)],
-            capture_output=True, text=True)
-        assert result.returncode == 1
-        assert result.stdout == ""
-        assert "Traceback" not in result.stderr
+def _strict(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
-        last = json.loads(result.stderr.splitlines()[-1], parse_constant=_strict)
+
+#: Inputs whose sums or pair products overflow the float range: in the first
+#: two the values themselves exceed DBL_MAX, in the rest only partial sums or
+#: products of unscaled rows.
+_OVERFLOW_DENSE = [
+    [1e308, 1e308, -1e308, 1e308],
+    [1e308, 1e308, 1e308, 1e308],
+    [1e307, -1e306, -1e306, 1e307],
+    [1e200, -1e199, -1e199, 1e200],
+    [1e155, -1e154, -1e154, 1e155],
+]
+_REPRODUCERS = _OVERFLOW_DENSE[2:]
+
+_VERBS = [["classify"], ["decompose", "--method", "b"], ["decompose", "--method", "doubly-b"],
+          *(["intervals", "--method", m] for m in _INTERVAL_METHODS),
+          ["oracle", "--restarts", "4"], ["laplacian"], ["definiteness"]]
+#: The verbs that read row_stats.
+_ROW_STATS_VERBS = [verb for verb in _VERBS if verb[0] not in ("oracle", "laplacian")]
+
+
+class TestNearOverflow:
+    def test_internal_error_exits_1_without_traceback(self, capsys, monkeypatch, t43_path):
+        # a doubly-B test that fails every tensor breaks "B implies doublyB"
+        # on the B-tensor T43, and classify's own flag check raises
+        # InternalError, which main reports as one error line
+        from btensor import classes
+
+        def always_fails(stats):
+            return {"row": 1, "lhs": 0.0, "rhs": 0.0, "margin": 0.0}
+
+        monkeypatch.setattr(classes, "_doubly_b_witness", always_fails)
+        code, out, err = run_main(capsys, ["classify", t43_path])
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        last = json.loads(err.splitlines()[-1], parse_constant=_strict)
         assert last["error"] == "internal"
         assert "B implies doublyB" in last["detail"]
 
+    @pytest.mark.parametrize("dense", _REPRODUCERS)
+    def test_reproducers_exit_0_on_every_row_stats_verb(self, capsys, tmp_path, dense):
+        # every class test is positively homogeneous, so the rows near
+        # DBL_MAX classify, split and localize as the same tensor scaled
+        # down, and every printed value is finite
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"order": 2, "dim": 2, "dense": dense}))
+        small = bt.Tensor(2, 2, np.ldexp(dense, -900))
+        for verb in _ROW_STATS_VERBS:
+            code, out, err = run_main(capsys, verb + [str(path)])
+            assert code == 0, (verb, err)
+            json.loads(out, parse_constant=_strict)
+        code, out, _ = run_main(capsys, ["classify", str(path)])
+        assert json.loads(out)["flags"] == bt.classify(small).flags
+        assert all(json.loads(out)["flags"].values())
+        code, out, _ = run_main(capsys, ["decompose", "--method", "doubly-b", str(path)])
+        assert json.loads(out)["epsilon"] == math.ldexp(
+            bt.decompose_doubly_b(small).epsilon, 900)
+
+    @pytest.mark.parametrize("dense", _OVERFLOW_DENSE[:2])
+    def test_values_past_dbl_max_exit_3_with_a_typed_error(self, capsys, tmp_path, dense):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"order": 2, "dim": 2, "dense": dense}))
+        for verb in _ROW_STATS_VERBS:
+            code, out, err = run_main(capsys, verb + [str(path)])
+            assert code in (0, 3), verb
+            if code == 3:
+                assert out == ""
+                last = json.loads(err.splitlines()[-1], parse_constant=_strict)
+                assert last["error"] in ("class-violation", "degenerate-margin",
+                                         "precondition"), verb
 
     @pytest.mark.parametrize("method, dense", [
         ("odd-n2", [1e308, 1e308, -1e308, 1e308]),
@@ -298,11 +353,13 @@ class TestNearOverflow:
         assert last["error"] == "precondition"
 
     def test_class_violation_witness_is_strict_json(self, tmp_path):
-        # both pair products overflow: lhs and rhs are inf and their margin is
-        # NaN, which the error line writes as null, keeping the detail text
+        # 1e200 * 1e200 < 2e200 * 2e200 is a real violation, but both pair
+        # products exceed DBL_MAX once multiplied back: lhs and rhs are inf
+        # and their margin is NaN, which the error line writes as null,
+        # keeping the detail text
         path = tmp_path / "big.json"
         path.write_text(json.dumps(
-            {"order": 2, "dim": 2, "dense": [1e200, -1e199, -1e199, 1e200]}))
+            {"order": 2, "dim": 2, "dense": [1e200, -2e200, -2e200, 1e200]}))
         result = subprocess.run(
             [sys.executable, "-m", "btensor.cli", "decompose", "--method", "doubly-b",
              str(path)], capture_output=True, text=True)
@@ -327,24 +384,6 @@ class TestNearOverflow:
         assert "float range" in last["detail"]
 
 
-def _strict(name):
-    raise ValueError(f"non-standard JSON constant {name}")
-
-
-#: Inputs whose sums or pair products overflow the float range.
-_OVERFLOW_DENSE = [
-    [1e308, 1e308, -1e308, 1e308],
-    [1e308, 1e308, 1e308, 1e308],
-    [1e307, -1e306, -1e306, 1e307],
-    [1e200, -1e199, -1e199, 1e200],
-    [1e155, -1e154, -1e154, 1e155],
-]
-
-_VERBS = [["classify"], ["decompose", "--method", "b"], ["decompose", "--method", "doubly-b"],
-          *(["intervals", "--method", m] for m in _INTERVAL_METHODS),
-          ["oracle", "--restarts", "4"], ["laplacian"], ["definiteness"]]
-
-
 def _fixture_payloads():
     rng = np.random.default_rng(43)
     inputs = [make_t43(), make_t42(), make_z32(), bt.Tensor.identity(3, 2),
@@ -357,12 +396,15 @@ class TestStrictJson:
     """Every verb either prints RFC 8259 JSON with exit 0 or prints nothing
     on stdout and exits non-zero, also when a result overflows."""
 
-    def run_every_verb(self, capsys, tmp_path, payloads):
+    def run_every_verb(self, capsys, tmp_path, payloads, warns=None):
         for k, payload in enumerate(payloads):
             path = tmp_path / f"input{k}.json"
             path.write_text(json.dumps(payload))
             for verb in _VERBS:
-                code, out, _ = run_main(capsys, verb + [str(path)])
+                with warnings.catch_warnings():
+                    if verb[0] == warns:
+                        warnings.simplefilter("ignore", RuntimeWarning)
+                    code, out, _ = run_main(capsys, verb + [str(path)])
                 if code == 0:
                     json.loads(out, parse_constant=_strict)
                 else:
@@ -374,11 +416,11 @@ class TestStrictJson:
     def test_overflow_reproducers(self, capsys, tmp_path):
         payloads = [{"order": 2, "dim": 2, "dense": dense} for dense in _OVERFLOW_DENSE]
         payloads.append(make_cancelling_rows().to_json_dict())
-        # a CLI process reports numpy's overflow warnings on stderr and goes
-        # on; the suite's warnings-as-errors setting would stop it midway
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            self.run_every_verb(capsys, tmp_path, payloads)
+        # the dim-2 oracle evaluates its polynomials and residuals on the
+        # 1e308 entries unscaled; a CLI process reports numpy's overflow
+        # warnings on stderr and goes on, while the suite's warnings-as-errors
+        # setting would stop it midway.  No other verb may warn.
+        self.run_every_verb(capsys, tmp_path, payloads, warns="oracle")
 
 
 def _library_report(verb, payload):

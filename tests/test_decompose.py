@@ -16,6 +16,7 @@ from cases import (
     random_b,
     random_doubly_b,
     random_sddd_z,
+    scaled,
 )
 
 
@@ -49,10 +50,6 @@ def check_doubly_invariants(dec, A, bitwise=True):
         dec.row_constants.reshape((n,) + (1,) * (m - 1)), A.array.shape).copy()
     expected[diag_index(n, m)] = dec.row_constants + dec.epsilon
     assert np.array_equal(dec.part_c.array, expected)
-
-
-def scaled(A, k):
-    return bt.Tensor.from_array(np.ldexp(A.array, k))
 
 
 class TestDecomposeB:

@@ -108,6 +108,17 @@ class TestEigenpairsN2:
                 assert q.lam == pytest.approx(3.0 * p.lam, abs=1e-9)
                 assert np.allclose(q.x, p.x, atol=1e-9)
 
+    def test_eigenvalues_scale_with_powers_of_two_down_to_tiny_tensors(self):
+        # a sign change is told by the signs of the two values, not by their
+        # product, which underflows to 0 on tensors near 1e-170
+        base = np.array([2.0, -1.0, -1.0, 0.0, -1.0, 0.0, 0.0, 2.0])
+        want = bt.eigenpairs_n2(bt.Tensor(3, 2, base))
+        assert len(want) == 2
+        for j in range(0, 1000, 37):
+            got = bt.eigenpairs_n2(bt.Tensor(3, 2, np.ldexp(base, -j)))
+            assert [p.lam for p in got] == [math.ldexp(p.lam, -j) for p in want], j
+            assert all(np.array_equal(p.x, q.x) for p, q in zip(got, want)), j
+
 
 class TestEigenSearch:
     def test_all_ones_finds_extremes(self):

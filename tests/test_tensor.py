@@ -255,23 +255,30 @@ class TestRowStats:
             assert np.all(st_.upper_deficit >= 0.0) and np.all(st_.lower_excess >= 0.0)
 
     def test_closed_forms_scale_exactly_near_overflow(self):
-        # once W * max|a| nears DBL_MAX, W * r_plus alone can overflow; the
-        # closed forms are then evaluated on the rows scaled by a power of
-        # two, which must give the exactly scaled result, overflowing to
-        # infinity only where that result exceeds DBL_MAX
+        # once W * max|a| nears DBL_MAX, W * r_plus alone can overflow; each
+        # row is then divided by its unit, a power of two, which must leave
+        # every field finite and exactly the field of the unscaled row times
+        # 2**shift / unit, so that multiplying back gives the exactly scaled
+        # value, or infinity only where that value exceeds DBL_MAX
         rng = np.random.default_rng(17)
-        fields = ("row_sum", "off_diag_abs_sum", "upper_deficit", "lower_excess",
-                  "lows", "highs")
+        fields = [f for f in bt.RowStats.__dataclass_fields__ if f not in ("unit", "width")]
         for k in range(12):
             A = random_tensor(rng, 2 + k % 3, 2 + k % 2)
             width = A.dim ** (A.order - 1)
             shift = 1024 + k % 2 - math.frexp(width * np.abs(A.array).max())[1]
             B = bt.Tensor.from_array(np.ldexp(A.array, shift))
             st_a, st_b = bt.row_stats(A), bt.row_stats(B)
+            assert np.all(st_a.unit == 1.0) and np.all(st_b.unit > 1.0)
+            mantissa, exponent = np.frexp(st_b.unit)
+            assert np.all(mantissa == 0.5)
             for field in fields:
+                got = getattr(st_b, field)
+                assert np.all(np.isfinite(got)), field
+                assert np.all(np.isfinite(np.outer(got, got))), field
+                assert np.array_equal(got, np.ldexp(getattr(st_a, field), shift + 1 - exponent))
                 with np.errstate(over="ignore"):
                     want = np.ldexp(getattr(st_a, field), shift)
-                assert np.array_equal(getattr(st_b, field), want), field
+                assert np.array_equal(st_b.in_units(got), want), field
 
     @pytest.mark.parametrize("block_entries", [
         lambda width: 1,                       # a row longer than the buffer
@@ -309,9 +316,13 @@ class TestRowStats:
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
     def test_row_sums_cancel_exactly_near_overflow(self):
+        # each row's absolute off-diagonal sum is 3e308, finite in the row's
+        # unit and infinite only once multiplied back
         st_ = bt.row_stats(make_cancelling_rows())
         assert np.array_equal(st_.row_sum, np.zeros(8))
-        assert np.all(st_.off_diag_abs_sum == np.inf)
+        assert np.all(st_.unit > 1.0)
+        assert np.array_equal(st_.off_diag_abs_sum, 3.0 * (1e308 / st_.unit))
+        assert np.all(st_.in_units(st_.off_diag_abs_sum) == np.inf)
 
     def test_dim_one_tensor(self):
         A = bt.Tensor(3, 1, [4.0])
