@@ -81,11 +81,12 @@ def _first_failing_pair(lhs, rhs, unit):
 
 
 def _z_witness(stats):
-    # r_plus is zero exactly when every off-diagonal entry is <= 0.
-    if np.all(stats.r_plus == 0.0):
+    # r_plus is zero exactly when every off-diagonal entry is <= 0; the
+    # shift is r_plus outside the unit, where a small entry cannot round to 0.
+    if np.all(stats.shift == 0.0):
         return None
-    i = int(np.argmax(stats.r_plus > 0.0))
-    return _witness({"row": i + 1}, stats.r_plus[i], 0.0, stats.unit[i])
+    i = int(np.argmax(stats.shift > 0.0))
+    return _witness({"row": i + 1}, stats.shift[i], 0.0)
 
 
 def _b_witness(stats, strict=True):

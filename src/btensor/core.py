@@ -262,7 +262,10 @@ class RowStats:
     positively homogeneous, so a row test compares fields in one unit and a
     pair test carries unit_i * unit_j on both sides; :meth:`in_units`
     multiplies values back, to infinity only where the value itself
-    exceeds DBL_MAX.
+    exceeds DBL_MAX.  Dividing can round a small entry of a row with a
+    large unit, which moves the B and doubly-B sums by rounding only; the
+    Z test and the row constants of the splits read ``shift`` instead, the
+    row's r_plus as it is, not divided by the unit.
     """
 
     diag: np.ndarray
@@ -274,6 +277,7 @@ class RowStats:
     lower_excess: np.ndarray
     lows: np.ndarray
     highs: np.ndarray
+    shift: np.ndarray
     unit: np.ndarray
     width: float
 
@@ -339,6 +343,7 @@ def _row_sweep(scratch, rows, pos, diag):
     width = rows.shape[1]
     idx = np.arange(len(rows))
     (r_plus,) = _r_plus_sweep(scratch, rows, pos)
+    shift = r_plus
     scratch[idx, pos] = np.inf
     r_minus = np.minimum(0.0, scratch.min(axis=1))
     scratch[idx, pos] = 0.0
@@ -358,7 +363,7 @@ def _row_sweep(scratch, rows, pos, diag):
     return (diag, r_plus, r_minus, row_sum, scratch.sum(axis=1),
             np.maximum((width - 1) * r_plus - off_sum, 0.0),
             np.maximum(off_sum - (width - 1) * r_minus, 0.0),
-            row_sum - width * r_plus, row_sum - width * r_minus, unit)
+            row_sum - width * r_plus, row_sum - width * r_minus, shift, unit)
 
 
 def row_stats(A: Tensor) -> RowStats:
@@ -367,12 +372,12 @@ def row_stats(A: Tensor) -> RowStats:
     rows, pos = _row_layout(A)
     n, width = rows.shape
     (diag, r_plus, r_minus, row_sum, off_diag_abs_sum, upper, lower, lows, highs,
-     unit) = _blockwise(_row_sweep, _scratch(n, width), rows, pos, rows[np.arange(n), pos])
+     shift, unit) = _blockwise(_row_sweep, _scratch(n, width), rows, pos, rows[np.arange(n), pos])
     upper_deficit = np.where(r_plus == 0.0, off_diag_abs_sum, upper)
     lower_excess = np.where(r_minus == 0.0, off_diag_abs_sum, lower)
 
     fields = (diag, r_plus, r_minus, row_sum, off_diag_abs_sum,
-              upper_deficit, lower_excess, lows, highs, unit)
+              upper_deficit, lower_excess, lows, highs, shift, unit)
     for f in fields:
         f.setflags(write=False)
     return RowStats(*fields, width=float(width))

@@ -104,7 +104,7 @@ def decompose_b(A: Tensor) -> Decomposition:
     slack = (stats.diag - stats.r_plus) - stats.upper_deficit
     eps = _check_epsilon(float(stats.in_units(slack / 2.0).min()))
 
-    part_b, part_c = _split_off_row_constants(A, stats.in_units(stats.r_plus), eps)
+    part_b, part_c = _split_off_row_constants(A, stats.shift, eps)
     dec = Decomposition("B", part_b, part_c, eps)
     _verify(dec, A, classes._b_witness, "B")
     return dec
@@ -146,10 +146,8 @@ def decompose_doubly_b(A: Tensor) -> Decomposition:
         delta = float(delta_pairs.min())
     eps = _check_epsilon(min(delta, float(d.min())) / 2.0 * float(top))
 
-    constants = stats.in_units(stats.r_plus)
-    part_b, part_c = _split_off_row_constants(A, constants, eps)
-    constants.setflags(write=False)
-    dec = Decomposition("doublyB", part_b, part_c, eps, row_constants=constants)
+    part_b, part_c = _split_off_row_constants(A, stats.shift, eps)
+    dec = Decomposition("doublyB", part_b, part_c, eps, row_constants=stats.shift)
     _verify(dec, A, classes._doubly_b_witness, "doubly B")
     return dec
 

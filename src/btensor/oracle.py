@@ -162,7 +162,7 @@ def _isolated_roots(c):
     for (a, fa), (b, fb) in zip(zip(points, values), zip(points[1:], values[1:])):
         if fa == 0.0:
             roots.append(a)
-        elif fb != 0.0 and (fa < 0.0) != (fb < 0.0):
+        elif fa < 0.0 < fb or fb < 0.0 < fa:
             roots.append(_bisect(c, a, b, fa))
     if values[-1] == 0.0:
         roots.append(points[-1])

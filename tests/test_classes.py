@@ -239,6 +239,24 @@ class TestLargeDiagonal:
         assert flags["SDD"] and flags["B"] and flags["doublyB"] and flags["SDDD"]
         assert bt.is_sdd(A) and bt.is_b(A) and bt.is_doubly_b(A)
 
+    @pytest.mark.parametrize("small", [1e-200, 1e-160])
+    def test_small_positive_entry_beside_a_huge_diagonal_is_not_z(self, small):
+        # in the unit of the 1e300 row, 1e-200 underflows to 0 and 1e-160
+        # rounds to a subnormal; the Z test and the row constants read the
+        # row's r_plus outside the unit
+        A = bt.Tensor(2, 2, [1e300, small, 0.0, 1.0])
+        stats = bt.row_stats(A)
+        assert stats.unit[0] > 1.0 and stats.shift[0] == small
+        report = bt.classify(A)
+        assert not report.flags["Z"] and not bt.is_z(A)
+        assert report.witnesses["Z"] == {"row": 1, "lhs": small, "rhs": 0.0, "margin": small}
+        with pytest.raises(bt.ClassViolationError):
+            bt.intervals_z(A)
+        for dec in (bt.decompose_b(A), bt.decompose_doubly_b(A)):
+            assert bt.is_z(dec.part_b)
+            assert dec.part_c.array[0, 1] == small
+        assert list(bt.decompose_doubly_b(A).row_constants) == [small, 0.0]
+
     def test_f_doubly_b_with_large_negative_diagonal(self):
         # order 3, dim 2.  Row 1: diagonal -1e16, off-diagonal (1, 1, -1), so
         # r_minus = -1 and the lower excess is 2 + 2 + 0 = 4.  Row 2: diagonal

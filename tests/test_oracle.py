@@ -119,6 +119,14 @@ class TestEigenpairsN2:
             assert [p.lam for p in got] == [math.ldexp(p.lam, -j) for p in want], j
             assert all(np.array_equal(p.x, q.x) for p, q in zip(got, want)), j
 
+    def test_a_nan_value_brackets_no_root(self, monkeypatch):
+        # t**2 - 1 on the points -2, 0, 2; an overflowed NaN at -2 has no
+        # sign, so only the bracket [0, 2] is searched
+        evaluate = oracle._eval
+        monkeypatch.setattr(oracle, "_eval",
+                            lambda c, t: math.nan if t == -2.0 else evaluate(c, t))
+        assert oracle._isolated_roots(np.array([-1.0, 0.0, 1.0])) == [1.0]
+
 
 class TestEigenSearch:
     def test_all_ones_finds_extremes(self):

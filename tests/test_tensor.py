@@ -261,7 +261,8 @@ class TestRowStats:
         # 2**shift / unit, so that multiplying back gives the exactly scaled
         # value, or infinity only where that value exceeds DBL_MAX
         rng = np.random.default_rng(17)
-        fields = [f for f in bt.RowStats.__dataclass_fields__ if f not in ("unit", "width")]
+        fields = [f for f in bt.RowStats.__dataclass_fields__
+                  if f not in ("shift", "unit", "width")]
         for k in range(12):
             A = random_tensor(rng, 2 + k % 3, 2 + k % 2)
             width = A.dim ** (A.order - 1)
@@ -279,6 +280,9 @@ class TestRowStats:
                 with np.errstate(over="ignore"):
                     want = np.ldexp(getattr(st_a, field), shift)
                 assert np.array_equal(st_b.in_units(got), want), field
+            # the shift is r_plus outside the unit, exactly scaled
+            assert np.array_equal(st_a.shift, st_a.r_plus)
+            assert np.array_equal(st_b.shift, np.ldexp(st_a.r_plus, shift))
 
     @pytest.mark.parametrize("block_entries", [
         lambda width: 1,                       # a row longer than the buffer
