@@ -32,6 +32,7 @@ from json.encoder import encode_basestring_ascii
 from . import classes, decompose, eigenloc, oracle
 from .core import Tensor
 from .errors import (
+    BTensorError,
     ClassViolationError,
     DegenerateMarginError,
     InputError,
@@ -45,6 +46,16 @@ _INTERVAL_METHODS = {
     "odd-n2": eigenloc.intervals_odd_or_n2,
     "gerschgorin": eigenloc.intervals_gerschgorin,
 }
+
+#: Each error type with its kind on the error line and its exit status; a
+#: subclass comes before its base, so the first match is the most specific.
+_ERRORS = (
+    (InputError, "input", 2),
+    (ClassViolationError, "class-violation", 3),
+    (DegenerateMarginError, "degenerate-margin", 3),
+    (PreconditionError, "precondition", 3),
+    (InternalError, "internal", 1),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -214,21 +225,10 @@ def main(argv=None) -> int:
             text = json.dumps(report, cls=_ReportEncoder, indent=2, allow_nan=False)
         except ValueError:
             raise PreconditionError("the result exceeds the float range") from None
-    except InputError as exc:
-        _emit_error("input", exc)
-        return 2
-    except ClassViolationError as exc:
-        _emit_error("class-violation", exc)
-        return 3
-    except DegenerateMarginError as exc:
-        _emit_error("degenerate-margin", exc)
-        return 3
-    except PreconditionError as exc:
-        _emit_error("precondition", exc)
-        return 3
-    except InternalError as exc:
-        _emit_error("internal", exc)
-        return 1
+    except BTensorError as exc:
+        _, kind, status = next(entry for entry in _ERRORS if isinstance(exc, entry[0]))
+        _emit_error(kind, exc)
+        return status
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -33,6 +33,29 @@ def _as_int(value, name):
     return int(value)
 
 
+def _zero_based(index, dim, name):
+    """The 1-based components ``index``, each an integer in [1, ``dim``], as
+    a 0-based tuple."""
+    zero_based = []
+    for i in index:
+        i = _as_int(i, name)
+        if not 1 <= i <= dim:
+            raise InputError(f"{name} {i} outside [1, {dim}]")
+        zero_based.append(i - 1)
+    return tuple(zero_based)
+
+
+def _json_fields(obj, what, *names):
+    """The values of the required fields ``names`` of ``obj``, which must be
+    a JSON object; ``what`` names the format in the error messages."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} JSON must be an object")
+    try:
+        return [obj[name] for name in names]
+    except KeyError as missing:
+        raise InputError(f"{what} JSON lacks required field {missing}") from None
+
+
 def _reject_non_numbers(entries):
     """Reject booleans and strings anywhere in nested Python lists, which
     ``np.array(..., dtype=float64)`` would turn into numbers."""
@@ -149,13 +172,7 @@ class Tensor:
         """Entry at a 1-based multi-index."""
         if len(index) != self.order:
             raise InputError(f"multi-index needs {self.order} components, got {len(index)}")
-        zero_based = []
-        for i in index:
-            i = _as_int(i, "index component")
-            if not 1 <= i <= self.dim:
-                raise InputError(f"index component {i} outside [1, {self.dim}]")
-            zero_based.append(i - 1)
-        return float(self._array[tuple(zero_based)])
+        return float(self._array[_zero_based(index, self.dim, "index component")])
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
@@ -188,13 +205,7 @@ class Tensor:
         ``{"idx": [i1, ..., im], "val": v}`` records with 1-based indices;
         unspecified entries are zero and duplicate indices are an error).
         """
-        if not isinstance(obj, dict):
-            raise InputError("tensor JSON must be an object")
-        try:
-            order = obj["order"]
-            dim = obj["dim"]
-        except KeyError as missing:
-            raise InputError(f"tensor JSON lacks required field {missing}") from None
+        order, dim = _json_fields(obj, "tensor", "order", "dim")
         has_dense = "dense" in obj
         has_sparse = "sparse" in obj
         if has_dense == has_sparse:
@@ -213,13 +224,7 @@ class Tensor:
             idx = record["idx"]
             if not isinstance(idx, (list, tuple)) or len(idx) != order:
                 raise InputError(f"sparse index {idx} needs {order} components")
-            zero_based = []
-            for i in idx:
-                i = _as_int(i, "sparse index component")
-                if not 1 <= i <= dim:
-                    raise InputError(f"sparse index component {i} outside [1, {dim}]")
-                zero_based.append(i - 1)
-            key = tuple(zero_based)
+            key = _zero_based(idx, dim, "sparse index component")
             if key in seen:
                 raise InputError(f"duplicate sparse index {list(idx)}")
             seen.add(key)
@@ -424,15 +429,9 @@ def principal_subtensor(A: Tensor, members) -> Tensor:
     ``members`` must be a nonempty strictly increasing sequence within
     [1, dim].
     """
-    members = list(members)
-    if not members:
+    zero_based = _zero_based(members, A.dim, "index set member")
+    if not zero_based:
         raise InputError("index set must be nonempty")
-    zero_based = []
-    for j in members:
-        j = _as_int(j, "index set member")
-        if not 1 <= j <= A.dim:
-            raise InputError(f"index set member {j} outside [1, {A.dim}]")
-        zero_based.append(j - 1)
     if any(a >= b for a, b in zip(zero_based, zero_based[1:])):
         raise InputError("index set must be strictly increasing")
     return Tensor._wrap(A.array[np.ix_(*([zero_based] * A.order))])

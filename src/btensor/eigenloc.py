@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classes
-from .core import DEFAULT_ENTRY_CAP, Tensor, _as_int, _diag_index, _header, is_symmetric, row_stats
+from .core import (DEFAULT_ENTRY_CAP, Tensor, _as_int, _diag_index, _header, _json_fields,
+                   is_symmetric, row_stats)
 from .errors import ClassViolationError, InputError, InternalError, PreconditionError
 
 
@@ -200,12 +201,7 @@ class Hypergraph:
 
     @classmethod
     def from_json_dict(cls, obj):
-        if not isinstance(obj, dict):
-            raise InputError("hypergraph JSON must be an object")
-        try:
-            return cls(obj["n"], obj["m"], obj["edges"])
-        except KeyError as missing:
-            raise InputError(f"hypergraph JSON lacks required field {missing}") from None
+        return cls(*_json_fields(obj, "hypergraph", "n", "m", "edges"))
 
     def to_json_dict(self):
         return {"n": self.n, "m": self.m, "edges": [list(e) for e in self.edges]}

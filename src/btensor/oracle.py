@@ -51,6 +51,7 @@ _HANDOFF = 1e-3
 _NEWTON_STEPS = 32
 _POLISH = 1e-12
 _STALL = 200
+_MAX_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -214,12 +215,16 @@ def eigenpairs_n2(A: Tensor, tol: float = 1e-8) -> list[EigenPair]:
     If the chart polynomial vanishes identically, every direction with a
     nonzero first component is an eigenvector (a continuum); the
     representative directions t in {0, 1, -1} are returned in that case.
+
+    Raises :class:`PreconditionError` when the eigenvalue bound, 1 plus the
+    largest absolute row sum, exceeds the float range.
     """
     _check_tol(tol)
     if A.dim != 2:
         raise PreconditionError(f"exhaustive enumeration needs dim 2, got {A.dim}")
     m = A.order
     rows = A.array.reshape(2, -1)
+    _spectral_bound(rows)
     # flat index bits select component 2; the degree in t is the bit count
     counts = np.array([i.bit_count() for i in range(2 ** (m - 1))])
     p1 = np.bincount(counts, weights=rows[0], minlength=m)
@@ -326,12 +331,7 @@ def search_report(A: Tensor, restarts: int = 64, seed: int = 0,
     _check_tol(tol)
     n, m = A.dim, A.order
     rows = A.array.reshape(n, -1)
-    # every H-eigenvalue is bounded in magnitude by the largest absolute row sum
-    with np.errstate(over="ignore"):
-        alpha0 = 1.0 + float(np.abs(rows).sum(axis=1).max())
-    if not math.isfinite(alpha0):
-        raise PreconditionError("the search shift, 1 plus the largest absolute row sum, "
-                                "exceeds the float range")
+    alpha0 = _spectral_bound(rows)
 
     rng = np.random.default_rng(seed)
     starts = rng.standard_normal((restarts, n))
@@ -357,6 +357,19 @@ def search_report(A: Tensor, restarts: int = 64, seed: int = 0,
     pairs = _dedupe_sort(pairs)
     counts.pairs = len(pairs)
     return pairs, counts
+
+
+def _spectral_bound(rows):
+    """1 plus the largest absolute row sum of the flattened ``rows``, a bound
+    on the magnitude of every H-eigenvalue.  Raises
+    :class:`PreconditionError` where it exceeds the float range, and with it
+    possibly an eigenvalue."""
+    with np.errstate(over="ignore"):
+        bound = 1.0 + float(np.abs(rows).sum(axis=1).max())
+    if not math.isfinite(bound):
+        raise PreconditionError("the eigenvalue bound, 1 plus the largest absolute row sum, "
+                                "exceeds the float range")
+    return bound
 
 
 def _check_tol(tol):
@@ -432,27 +445,23 @@ class _Starts:
     prev: np.ndarray
     best_res: np.ndarray
     best_X: np.ndarray
-    #: pass of the sweep at which the start stalls unless it improves first
-    deadline: np.ndarray
-    #: its last pass, where its step budget ends
-    cap: np.ndarray
+    #: passes since the start last improved
+    idle: np.ndarray
+    #: passes the start has taken
+    age: np.ndarray
 
-    def take(self, idx, passes=0):
-        """The starts at the indices ``idx``, their pass counts moved back by
-        ``passes``."""
-        part = _Starts(*(v.take(idx, axis=-1) for v in vars(self).values()))
-        part.deadline -= passes
-        part.cap -= passes
-        return part
+    def take(self, idx):
+        """The starts at the indices ``idx``."""
+        return _Starts(*(v.take(idx, axis=-1) for v in vars(self).values()))
 
 
-def _batched_fixed_point(rows, signs, m, starts, alpha0, tol, counts, max_iter=10_000):
+def _batched_fixed_point(rows, signs, m, starts, alpha0, tol, counts):
     """Run the shifted fixed-point iteration on all starts at once, and
     finish the near-converged ones by Newton's method.
 
     Start ``i``, column ``i`` of the (n, k) array ``starts``, iterates on
     the tensor with flattened rows ``rows`` times ``signs[i]``, for at most
-    ``max_iter`` steps.  A start leaves the batch as soon as its defect is
+    ``_MAX_STEPS`` steps.  A start leaves the batch as soon as its defect is
     below ``_HANDOFF``.  When the batch is empty, all starts that left are
     polished in one stacked Newton run (:func:`_newton`).  A start whose
     Newton run does not reach the fixed point's own bar, a defect within
@@ -469,7 +478,7 @@ def _batched_fixed_point(rows, signs, m, starts, alpha0, tol, counts, max_iter=1
     batch = _Starts(X=starts.copy(), signs=signs, order=np.arange(k),
                     alpha=np.full(k, alpha0), prev=np.full(k, np.inf),
                     best_res=np.full(k, np.inf), best_X=starts.copy(),
-                    deadline=np.full(k, _STALL + 1), cap=np.full(k, max_iter - 1))
+                    idle=np.zeros(k, dtype=int), age=np.zeros(k, dtype=int))
     finished = {}
     plan = _monomial_plan(rows, m)
     handed = _sweep(plan, m, batch, tol, _HANDOFF, finished, counts)
@@ -506,7 +515,6 @@ def _sweep(plan, m, batch, tol, handoff, finished, counts):
     S, steps = plan
     power = 1.0 / (m - 1)
     handed = [batch.take([])]
-    it, nearest_cap = 0, batch.cap.min() if batch.order.size else 0
     while batch.order.size:
         counts.passes += 1
         X = batch.X
@@ -520,7 +528,7 @@ def _sweep(plan, m, batch, tol, handoff, finished, counts):
         if handoff:
             hand = res < handoff
             if np.count_nonzero(hand):
-                handed.append(batch.take(np.flatnonzero(hand), passes=it))
+                handed.append(batch.take(np.flatnonzero(hand)))
                 stay = np.flatnonzero(~hand)
                 batch, X, Z, XM, res = (batch.take(stay), X.take(stay, axis=1),
                                         Z.take(stay, axis=1), XM.take(stay, axis=1),
@@ -529,7 +537,7 @@ def _sweep(plan, m, batch, tol, handoff, finished, counts):
         improved = res < batch.best_res * (1.0 - 1e-6)
         np.copyto(batch.best_res, res, where=improved)
         np.copyto(batch.best_X, X, where=improved)
-        np.copyto(batch.deadline, it + _STALL + 1, where=improved)
+        np.copyto(batch.idle, 0, where=improved)
 
         halve = res > batch.prev
         counts.halvings += int(np.count_nonzero(halve))
@@ -547,9 +555,7 @@ def _sweep(plan, m, batch, tol, handoff, finished, counts):
 
         converged = res <= 0.9 * tol
         sound = np.isfinite(scale) & (scale > 0.0)
-        retire = converged | ~sound | (batch.deadline <= it)
-        if it >= nearest_cap:
-            retire |= batch.cap <= it
+        retire = converged | ~sound | (batch.idle > _STALL) | (batch.age >= _MAX_STEPS - 1)
         if np.count_nonzero(retire):
             done = int(np.count_nonzero(converged))
             degenerate = int(np.count_nonzero(~sound & ~converged))
@@ -560,9 +566,9 @@ def _sweep(plan, m, batch, tol, handoff, finished, counts):
                 finished[batch.order[i]] = batch.best_X[:, i]
             keep = np.flatnonzero(~retire)
             batch, Xn, scale = batch.take(keep), Xn.take(keep, axis=1), scale.take(keep)
-            nearest_cap = batch.cap.min() if batch.order.size else 0
         batch.X = _scaled_columns(Xn, scale)
-        it += 1
+        batch.idle += 1
+        batch.age += 1
     return _Starts(*(np.concatenate([getattr(h, f.name) for h in handed], axis=-1)
                      for f in fields(_Starts)))
 

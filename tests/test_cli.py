@@ -4,7 +4,6 @@ import json
 import math
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import btensor as bt
+from btensor import cli
 from btensor.cli import _INTERVAL_METHODS, _ReportEncoder, main
 from cases import (
     make_cancelling_rows,
@@ -223,6 +223,24 @@ class TestFailurePaths:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "input"
 
+    @pytest.mark.parametrize("error, kind, status", [
+        (bt.InputError("x"), "input", 2),
+        (bt.ClassViolationError("x"), "class-violation", 3),
+        (bt.DegenerateMarginError("x"), "degenerate-margin", 3),
+        (bt.PreconditionError("x"), "precondition", 3),
+        (bt.InternalError("x"), "internal", 1),
+    ])
+    def test_each_error_kind_exits_with_its_status(self, capsys, monkeypatch, ones43_path,
+                                                    error, kind, status):
+        # the two PreconditionError subclasses keep their own kinds
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "_run", fail)
+        code, out, err = run_main(capsys, ["classify", ones43_path])
+        assert code == status and out == ""
+        assert json.loads(err) == {"error": kind, "detail": "x"}
+
     def test_restarts_only_for_oracle(self, capsys, ones43_path):
         code, _, err = run_main(capsys, ["classify", "--restarts", "9",
                                          ones43_path])
@@ -372,16 +390,23 @@ class TestNearOverflow:
                                     "margin": None}}
 
     def test_oracle_on_overflowing_shift_exits_3(self, tmp_path):
-        path = tmp_path / "cancel.json"
-        path.write_text(json.dumps(make_cancelling_rows().to_json_dict()))
-        result = subprocess.run(
-            [sys.executable, "-m", "btensor.cli", "oracle", str(path)],
-            capture_output=True, text=True)
-        assert result.returncode == 3
-        assert result.stdout == ""
-        last = json.loads(result.stderr.splitlines()[-1], parse_constant=_strict)
-        assert last["error"] == "precondition"
-        assert "float range" in last["detail"]
+        # the search (dim 8) and the dim-2 solver refuse alike, and the error
+        # line is all a process writes on stderr: no RuntimeWarning
+        payloads = [make_cancelling_rows().to_json_dict(),
+                    *({"order": 2, "dim": 2, "dense": dense} for dense in _OVERFLOW_DENSE[:2])]
+        for payload in payloads:
+            path = tmp_path / "big.json"
+            path.write_text(json.dumps(payload))
+            result = subprocess.run(
+                [sys.executable, "-m", "btensor.cli", "oracle", str(path)],
+                capture_output=True, text=True)
+            assert result.returncode == 3, payload
+            assert result.stdout == ""
+            [line] = result.stderr.splitlines()
+            assert json.loads(line, parse_constant=_strict) == {
+                "error": "precondition",
+                "detail": "the eigenvalue bound, 1 plus the largest absolute row sum, "
+                          "exceeds the float range"}
 
 
 def _fixture_payloads():
@@ -396,15 +421,12 @@ class TestStrictJson:
     """Every verb either prints RFC 8259 JSON with exit 0 or prints nothing
     on stdout and exits non-zero, also when a result overflows."""
 
-    def run_every_verb(self, capsys, tmp_path, payloads, warns=None):
+    def run_every_verb(self, capsys, tmp_path, payloads):
         for k, payload in enumerate(payloads):
             path = tmp_path / f"input{k}.json"
             path.write_text(json.dumps(payload))
             for verb in _VERBS:
-                with warnings.catch_warnings():
-                    if verb[0] == warns:
-                        warnings.simplefilter("ignore", RuntimeWarning)
-                    code, out, _ = run_main(capsys, verb + [str(path)])
+                code, out, _ = run_main(capsys, verb + [str(path)])
                 if code == 0:
                     json.loads(out, parse_constant=_strict)
                 else:
@@ -416,11 +438,8 @@ class TestStrictJson:
     def test_overflow_reproducers(self, capsys, tmp_path):
         payloads = [{"order": 2, "dim": 2, "dense": dense} for dense in _OVERFLOW_DENSE]
         payloads.append(make_cancelling_rows().to_json_dict())
-        # the dim-2 oracle evaluates its polynomials and residuals on the
-        # 1e308 entries unscaled; a CLI process reports numpy's overflow
-        # warnings on stderr and goes on, while the suite's warnings-as-errors
-        # setting would stop it midway.  No other verb may warn.
-        self.run_every_verb(capsys, tmp_path, payloads, warns="oracle")
+        # the suite turns RuntimeWarnings into errors, so no verb may warn
+        self.run_every_verb(capsys, tmp_path, payloads)
 
 
 def _library_report(verb, payload):

@@ -88,6 +88,29 @@ class TestEigenpairsN2:
         with pytest.raises(bt.PreconditionError):
             bt.eigenpairs_n2(bt.Tensor.ones(3, 3))
 
+    @pytest.mark.parametrize("dense", [[1e308, 1e308, 1e308, 1e308],
+                                       [1e308, 1e308, -1e308, 1e308]])
+    def test_overflowing_bound_is_a_precondition_error(self, dense):
+        # 2e308 is an eigenvalue of the first; the bound 1 + max|row sum| on
+        # every eigenvalue exceeds DBL_MAX in both, as it does for the search
+        A = bt.Tensor(2, 2, dense)
+        for solve in (bt.eigenpairs_n2, bt.eigen_search):
+            with pytest.raises(bt.PreconditionError) as info:
+                solve(A)
+            assert str(info.value) == ("the eigenvalue bound, 1 plus the largest absolute "
+                                       "row sum, exceeds the float range")
+
+    @pytest.mark.parametrize("dense, lams", [
+        ([1e307, -1e306, -1e306, 1e307], [9e306, 1.1e307]),
+        ([1e200, -1e199, -1e199, 1e200], [9e199, 1.1e200]),
+        ([1e155, -1e154, -1e154, 1e155], [9e154, 1.1e155]),
+    ])
+    def test_finite_bound_near_overflow_keeps_every_pair(self, dense, lams):
+        # the suite turns RuntimeWarnings into errors
+        pairs = bt.eigenpairs_n2(bt.Tensor(2, 2, dense))
+        assert [p.lam for p in pairs] == lams
+        assert [p.x.tolist() for p in pairs] == [[1.0, 1.0], [1.0, -1.0]]
+
     def test_pairs_reverify_through_residual(self):
         rng = np.random.default_rng(32)
         for k in range(40):

@@ -58,8 +58,11 @@ class TestConstruction:
         t43 = make_t43()
         assert t43.entry(2, 2, 2, 2) == 18.0
         assert t43.entry(2, 1, 1, 2) == 15.0
-        with pytest.raises(bt.InputError):
+        with pytest.raises(bt.InputError, match=r"^index component 0 outside \[1, 3\]$"):
             t43.entry(0, 1, 1, 1)
+        with pytest.raises(bt.InputError,
+                           match=r"^index component must be an integer, got 1\.0$"):
+            t43.entry(1, 1.0, 1, 1)
 
 
 class TestJson:
@@ -97,9 +100,26 @@ class TestJson:
             bt.Tensor.from_json_dict({"order": 2, "dim": 1})
 
     def test_sparse_index_out_of_range(self):
-        with pytest.raises(bt.InputError):
-            bt.Tensor.from_json_dict({
-                "order": 2, "dim": 2, "sparse": [{"idx": [3, 1], "val": 1.0}]})
+        for idx, message in [
+            ([3, 1], r"^sparse index component 3 outside \[1, 2\]$"),
+            ([1, "2"], r"^sparse index component must be an integer, got '2'$"),
+        ]:
+            with pytest.raises(bt.InputError, match=message):
+                bt.Tensor.from_json_dict({
+                    "order": 2, "dim": 2, "sparse": [{"idx": idx, "val": 1.0}]})
+
+    @pytest.mark.parametrize("parse, obj, message", [
+        (bt.Tensor.from_json_dict, [2, 2], "tensor JSON must be an object"),
+        (bt.Tensor.from_json_dict, {"dim": 2, "dense": []},
+         "tensor JSON lacks required field 'order'"),
+        (bt.Hypergraph.from_json_dict, "graph", "hypergraph JSON must be an object"),
+        (bt.Hypergraph.from_json_dict, {"n": 3, "m": 2},
+         "hypergraph JSON lacks required field 'edges'"),
+    ])
+    def test_an_object_with_its_required_fields(self, parse, obj, message):
+        with pytest.raises(bt.InputError) as info:
+            parse(obj)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("header", [
         {"order": 1, "dim": 2}, {"order": 2, "dim": 0}, {"order": 4, "dim": 200},
@@ -359,10 +379,14 @@ class TestPrincipalSubtensor:
 
     def test_validation(self):
         t43 = make_t43()
-        with pytest.raises(bt.InputError):
-            bt.principal_subtensor(t43, [])
-        with pytest.raises(bt.InputError):
+        for empty in ([], iter([])):
+            with pytest.raises(bt.InputError, match="^index set must be nonempty$"):
+                bt.principal_subtensor(t43, empty)
+        with pytest.raises(bt.InputError, match=r"^index set member 0 outside \[1, 3\]$"):
             bt.principal_subtensor(t43, [0, 1])
+        with pytest.raises(bt.InputError,
+                           match=r"^index set member must be an integer, got True$"):
+            bt.principal_subtensor(t43, [True, 2])
         with pytest.raises(bt.InputError):
             bt.principal_subtensor(t43, [2, 2])
         with pytest.raises(bt.InputError):
