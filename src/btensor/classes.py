@@ -67,16 +67,21 @@ def _first_failing_row(lhs, rhs, unit, strict=True):
 
 
 def _first_failing_pair(lhs, rhs, unit):
-    """First ordered pair i < j violating an outer-product inequality."""
-    n = lhs.shape[0]
-    left = np.outer(lhs, lhs)
-    right = np.outer(rhs, rhs)
-    bad = left <= right
-    bad[np.diag_indices(n)] = False
+    """First ordered pair i < j violating an outer-product inequality
+    between nonnegative sides.
+
+    Both sides of row i are first scaled by one power of two, which puts
+    the larger in [1/2, 1): the inequality is homogeneous in each row, so
+    the products compare as unscaled ones would, except that those of two
+    tiny rows no longer underflow to a tie."""
+    e = np.frexp(np.maximum(lhs, rhs))[1]
+    left, right = np.ldexp(lhs, -e), np.ldexp(rhs, -e)
+    bad = left[:, None] * left <= right[:, None] * right
+    np.fill_diagonal(bad, False)
     if not bad.any():
         return None
     i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    return _witness({"pair": [int(i) + 1, int(j) + 1]}, left[i, j], right[i, j],
+    return _witness({"pair": [int(i) + 1, int(j) + 1]}, lhs[i] * lhs[j], rhs[i] * rhs[j],
                     unit[i], unit[j])
 
 

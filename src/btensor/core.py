@@ -133,12 +133,18 @@ class Tensor:
         self.dim = dim
 
     @classmethod
-    def _wrap(cls, arr):
+    def _wrap(cls, arr, finite=False):
         """A tensor on an m-way float64 array the package has just built and
-        no caller holds: the finiteness check without ``__init__``'s copy."""
+        no caller holds: the finiteness check without ``__init__``'s copy,
+        and without the check where ``finite`` says the caller made it."""
         tensor = cls.__new__(cls)
         tensor.order, tensor.dim = arr.ndim, arr.shape[0]
-        tensor._array = _frozen(np.ascontiguousarray(arr, dtype=np.float64))
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        if finite:
+            arr.setflags(write=False)
+        else:
+            _frozen(arr)
+        tensor._array = arr
         return tensor
 
     @classmethod
@@ -286,6 +292,11 @@ class RowStats:
     unit: np.ndarray
     width: float
 
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
     def in_units(self, values):
         """Per-row ``values`` given in the row units, times the units: exact,
         or infinite where the product exceeds DBL_MAX."""
@@ -340,11 +351,11 @@ def _r_plus(A: Tensor) -> np.ndarray:
 
 
 def _row_sweep(scratch, rows, pos, diag):
-    """Per-row aggregates of a block of rows whose diagonal sits at ``pos``,
-    each row divided by its unit 2**k_i, k_i = max(0, e(max|a|) + e(W) -
-    ``_UNIT_EXPONENT``) for binary exponents e: every sum stays below about
-    2**500 and so every product of two fields below DBL_MAX.  With k_i = 0
-    no bit changes."""
+    """The :class:`RowStats` fields, in order, of a block of rows whose
+    diagonal sits at ``pos``, each row divided by its unit 2**k_i, k_i =
+    max(0, e(max|a|) + e(W) - ``_UNIT_EXPONENT``) for binary exponents e:
+    every sum stays below about 2**500 and so every product of two fields
+    below DBL_MAX.  With k_i = 0 no bit changes."""
     width = rows.shape[1]
     idx = np.arange(len(rows))
     (r_plus,) = _r_plus_sweep(scratch, rows, pos)
@@ -365,9 +376,12 @@ def _row_sweep(scratch, rows, pos, diag):
     # off_sum and the absolute sum run on one buffer in one order
     row_sum = diag + off_sum
     np.abs(scratch, out=scratch)
-    return (diag, r_plus, r_minus, row_sum, scratch.sum(axis=1),
-            np.maximum((width - 1) * r_plus - off_sum, 0.0),
-            np.maximum(off_sum - (width - 1) * r_minus, 0.0),
+    off_diag_abs_sum = scratch.sum(axis=1)
+    upper = np.maximum((width - 1) * r_plus - off_sum, 0.0)
+    lower = np.maximum(off_sum - (width - 1) * r_minus, 0.0)
+    return (diag, r_plus, r_minus, row_sum, off_diag_abs_sum,
+            np.where(r_plus == 0.0, off_diag_abs_sum, upper),
+            np.where(r_minus == 0.0, off_diag_abs_sum, lower),
             row_sum - width * r_plus, row_sum - width * r_minus, shift, unit)
 
 
@@ -376,16 +390,8 @@ def row_stats(A: Tensor) -> RowStats:
     buffer of at most ``_BLOCK_ENTRIES`` entries over blocks of whole rows."""
     rows, pos = _row_layout(A)
     n, width = rows.shape
-    (diag, r_plus, r_minus, row_sum, off_diag_abs_sum, upper, lower, lows, highs,
-     shift, unit) = _blockwise(_row_sweep, _scratch(n, width), rows, pos, rows[np.arange(n), pos])
-    upper_deficit = np.where(r_plus == 0.0, off_diag_abs_sum, upper)
-    lower_excess = np.where(r_minus == 0.0, off_diag_abs_sum, lower)
-
-    fields = (diag, r_plus, r_minus, row_sum, off_diag_abs_sum,
-              upper_deficit, lower_excess, lows, highs, shift, unit)
-    for f in fields:
-        f.setflags(write=False)
-    return RowStats(*fields, width=float(width))
+    return RowStats(*_blockwise(_row_sweep, _scratch(n, width), rows, pos,
+                                rows[np.arange(n), pos]), width=float(width))
 
 
 def contract(A: Tensor, x) -> np.ndarray:

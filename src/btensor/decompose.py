@@ -4,10 +4,13 @@ Both constructions shift the row-wise ``a_plus`` transform of A by a
 deterministic epsilon chosen at half of the available slack, so that the
 Z-part stays safely interior to its class.  The slack is in closed form
 from ``row_stats(A)``: the transform's diagonal is diag - r_plus and its
-deficit is ``upper_deficit``.  Every returned decomposition is re-verified
-through the class witnesses, on one ``row_stats`` per part; a part that
-loses its class to rounding raises DegenerateMarginError, any other
-failed invariant InternalError.
+deficit is ``upper_deficit``.  Besides that one ``row_stats`` sweep, each
+split walks A's rows once in cache-sized blocks to write both parts, and
+once more to re-verify them: per block, the reconstruction, both parts'
+row statistics and, for doubly B, the remainder's shape.  The class
+witnesses then read those statistics; a part that loses its class to
+rounding raises DegenerateMarginError, any other failed invariant
+InternalError.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classes
-from .core import Tensor, _blockwise, _diag_index, _scratch, row_stats
-from .errors import ClassViolationError, DegenerateMarginError, InternalError
+from .core import RowStats, Tensor, _blockwise, _row_layout, _row_sweep, _scratch, row_stats
+from .errors import ClassViolationError, DegenerateMarginError, InputError, InternalError
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,19 @@ def _check_epsilon(eps):
     return float(eps)
 
 
+def _split_sweep(scratch, a, b, c, pos, constants, diagonal):
+    """Write a block of rows of the remainder ``c``, ``constants`` off the
+    diagonal and ``diagonal`` on it, and of ``b = a - c``; flag the rows
+    of ``b`` that are finite."""
+    idx = np.arange(len(c))
+    np.copyto(c, constants[:, None])
+    c[idx, pos] = diagonal
+    # the same differences as a - c, without a second full-size operand
+    np.subtract(a, constants[:, None], out=b)
+    b[idx, pos] = a[idx, pos] - diagonal
+    return (np.isfinite(b).all(axis=1),)
+
+
 def _split_off_row_constants(A, constants, eps):
     """Return (part_b, part_c) with part_c holding ``constants[i]`` off the
     diagonal of row i and ``constants[i] + eps`` on it, and part_b = A - part_c.
@@ -74,14 +90,18 @@ def _split_off_row_constants(A, constants, eps):
     Building the nonnegative part first keeps its shape exact; the
     subtraction then reproduces A bitwise for tensors whose rows do not
     span an extreme dynamic range (this is re-verified after construction).
+    Both parts are written block by block, the finiteness check with them.
     """
-    n, m = A.dim, A.order
-    part_c = np.broadcast_to(
-        constants.reshape((n,) + (1,) * (m - 1)), A.array.shape
-    ).copy()
-    part_c[_diag_index(n, m)] = constants + eps
-    part_b = A.array - part_c
-    return Tensor._wrap(part_b), Tensor._wrap(part_c)
+    rows, pos = _row_layout(A)
+    b, c = np.empty_like(rows), np.empty_like(rows)
+    # a diagonal constants + eps past DBL_MAX shows as -inf in b
+    (finite,) = _blockwise(_split_sweep, _scratch(*rows.shape), rows, b, c, pos,
+                           constants, constants + eps)
+    if not finite.all():
+        raise InputError("tensor entries must all be finite")
+    shape = A.array.shape
+    return (Tensor._wrap(b.reshape(shape), finite=True),
+            Tensor._wrap(c.reshape(shape), finite=True))
 
 
 def decompose_b(A: Tensor) -> Decomposition:
@@ -110,6 +130,41 @@ def decompose_b(A: Tensor) -> Decomposition:
     return dec
 
 
+def _pair_margin(stats):
+    """The smallest over row pairs of the largest uniform diagonal decrease
+    delta that keeps (d_i - delta)(d_j - delta) >= s_i s_j, halved, with
+    d = diag - r_plus and s = upper_deficit; inf for one row.
+
+    Each row is first scaled into [0, 1] by the power of two 2**e_i of the
+    larger of its d and s, so that a row of 1e-300 beside one of 1e307
+    keeps its bits.  A pair is solved at the absolute scale of its smaller
+    row, where the larger row's values are divided by the ratio r <= 1 of
+    the two scales: the smaller root of the quadratic, in rationalized form
+    (stable when the off-diagonal sums are tiny), is then
+    2 (d_b d_t - s_b s_t) / (d_b + r d_t + sqrt((d_b - r d_t)**2 + 4 r s_b s_t))
+    for the larger row b and the smaller row t.  For rows at one scale
+    (r = 1) this is the quadratic's own formula, and every other scale
+    moves each operation by a power of two only; so the result is that
+    of the unscaled formula wherever no value underflows."""
+    gap, deficit = stats.diag - stats.r_plus, stats.upper_deficit
+    e = np.frexp(np.maximum(gap, deficit))[1]
+    d, s = np.ldexp(gap, -e), np.ldexp(deficit, -e)
+    # each row's absolute scale: its unit 2**k (frexp gives k + 1) times 2**e
+    scale = e + np.frexp(stats.unit)[1] - 1
+    larger = scale[:, None] >= scale[None, :]
+
+    def by_scale(values):
+        return (np.where(larger, values[:, None], values[None, :]),
+                np.where(larger, values[None, :], values[:, None]))
+
+    (d_b, d_t), (s_b, s_t), (top, low) = by_scale(d), by_scale(s), by_scale(scale)
+    r = np.ldexp(1.0, low - top)
+    delta = 2.0 * (d_b * d_t - s_b * s_t) / (d_b + r * d_t + np.sqrt(
+        (d_b - r * d_t) ** 2 + 4.0 * (s_b * s_t * r)))
+    np.fill_diagonal(delta, np.inf)
+    return float(np.ldexp(delta / 2.0, low).min())
+
+
 def decompose_doubly_b(A: Tensor) -> Decomposition:
     """Split a doubly B-tensor as B + C with B a Z- and doubly B-tensor and
     C the nonnegative row-constant-plus-diagonal-epsilon tensor.
@@ -119,10 +174,9 @@ def decompose_doubly_b(A: Tensor) -> Decomposition:
     d = diag - r_plus and deficit s = upper_deficit from ``row_stats(A)``;
     delta is the smallest over row pairs of the largest uniform diagonal
     decrease that keeps d_i d_j - s_i s_j an equality (the smaller root of
-    the associated quadratic).  The doubly-B test has just accepted these
-    very floats, so only underflow can leave no positive epsilon: the
-    quadratics are solved with every row in the largest row unit, where a
-    row below that unit by more than the float range has d = 0.
+    the associated quadratic, see :func:`_pair_margin`).  The doubly-B test
+    has just accepted these very floats, so only underflow can leave no
+    positive epsilon.
     """
     stats = row_stats(A)
     witness = classes._doubly_b_witness(stats)
@@ -132,19 +186,8 @@ def decompose_doubly_b(A: Tensor) -> Decomposition:
             f"not a doubly B-tensor: {where} has {witness['lhs']} <= {witness['rhs']}",
             witness=witness)
 
-    top = stats.unit.max()
-    d = (stats.diag - stats.r_plus) * (stats.unit / top)
-    s = stats.upper_deficit * (stats.unit / top)
-    delta = np.inf
-    if d.min() > 0.0:
-        products = np.outer(d, d) - np.outer(s, s)
-        # smaller quadratic root in rationalized form, stable when the
-        # off-diagonal sums are tiny
-        delta_pairs = 2.0 * products / (np.add.outer(d, d) + np.sqrt(
-            np.subtract.outer(d, d) ** 2 + 4.0 * np.outer(s, s)))
-        np.fill_diagonal(delta_pairs, np.inf)
-        delta = float(delta_pairs.min())
-    eps = _check_epsilon(min(delta, float(d.min())) / 2.0 * float(top))
+    half_gap = stats.in_units((stats.diag - stats.r_plus) / 2.0)
+    eps = _check_epsilon(min(_pair_margin(stats), float(half_gap.min())))
 
     part_b, part_c = _split_off_row_constants(A, stats.shift, eps)
     dec = Decomposition("doublyB", part_b, part_c, eps, row_constants=stats.shift)
@@ -155,42 +198,64 @@ def decompose_doubly_b(A: Tensor) -> Decomposition:
 def _misfits(scratch, a, b, c):
     """Flag the rows of a block where ``b + c`` misses ``a`` by more than
     4 ulps of max(|a|, |c|).  The bound is taken only on the entries that
-    differ: a bitwise reproduced entry has defect 0 below any bound."""
+    differ, and only in a block that has one: a bitwise reproduced entry
+    has defect 0 below any bound."""
     total = np.add(b, c, out=scratch)
-    i, j = np.nonzero(total != a)
-    x = a[i, j]
-    limit = 4.0 * np.spacing(np.maximum(np.abs(x), np.abs(c[i, j])))
     rows = np.zeros(len(a), dtype=bool)
-    rows[i[np.abs(total[i, j] - x) > limit]] = True
-    return (rows,)
+    differ = total != a
+    if differ.any():
+        i, j = np.nonzero(differ)
+        x = a[i, j]
+        limit = 4.0 * np.spacing(np.maximum(np.abs(x), np.abs(c[i, j])))
+        rows[i[np.abs(total[i, j] - x) > limit]] = True
+    return rows
+
+
+def _verify_sweep(scratch, a, b, c, pos, diag_b, diag_c, *shape):
+    """One block of :func:`_verify`: the rows where ``b + c`` misses ``a``,
+    the :class:`RowStats` fields of ``b`` and of ``c``, and the rows where
+    ``c`` is not in the shape ``shape`` = (constants, diagonal), if given."""
+    misfit = _misfits(scratch, a, b, c)
+    fields_b = _row_sweep(scratch, b, pos, diag_b)
+    fields_c = _row_sweep(scratch, c, pos, diag_c)
+    off_shape = np.zeros(len(a), dtype=bool)
+    if shape:
+        constants, diagonal = shape
+        wrong = c != constants[:, None]
+        idx = np.arange(len(c))
+        wrong[idx, pos] = c[idx, pos] != diagonal
+        off_shape = wrong.any(axis=1)
+    return (misfit, *fields_b, *fields_c, off_shape)
 
 
 def _verify(dec, A, witness, label):
-    """Post-construction checks on one ``row_stats`` per part; failures
-    raise, never a silent return."""
-    n, m = A.dim, A.order
-    a, b, c = (T.array.reshape(n, -1) for T in (A, dec.part_b, dec.part_c))
-    (misfit,) = _blockwise(_misfits, _scratch(n, a.shape[1]), a, b, c)
+    """Post-construction checks, all from one blocked sweep over A and the
+    two parts; failures raise, never a silent return."""
+    a, pos = _row_layout(A)
+    n, width = a.shape
+    b, c = (T.array.reshape(n, width) for T in (dec.part_b, dec.part_c))
+    idx = np.arange(n)
+    shape = ()
+    if dec.kind == "doublyB":
+        shape = (dec.row_constants, dec.row_constants + dec.epsilon)
+    misfit, *fields, off_shape = _blockwise(
+        _verify_sweep, _scratch(n, width), a, b, c, pos, b[idx, pos], c[idx, pos], *shape)
+    half = len(fields) // 2
+    stats_b = RowStats(*fields[:half], width=float(width))
+    stats_c = RowStats(*fields[half:], width=float(width))
     if misfit.any():
         raise InternalError(
             "decomposition parts do not reproduce the input to within 4 ulps")
-    stats_b = row_stats(dec.part_b)
     if classes._z_witness(stats_b) is not None:
         raise InternalError("decomposition Z-part has a positive off-diagonal entry")
     # with epsilon from the class test, only a margin at rounding level fails
     if witness(stats_b) is not None:
         raise DegenerateMarginError(
             f"decomposition Z-part is not a {label}-tensor after rounding")
-    stats_c = row_stats(dec.part_c)
     if np.any(stats_c.diag < 0.0) or np.any(stats_c.r_minus < 0.0):
         raise InternalError("decomposition remainder has a negative entry")
     if witness(stats_c) is not None:
         raise DegenerateMarginError(
             f"decomposition remainder is not a {label}-tensor after rounding")
-    if dec.kind == "doublyB":
-        constants = dec.row_constants
-        wrong = dec.part_c.array != constants.reshape((n,) + (1,) * (m - 1))
-        diag = _diag_index(n, m)
-        wrong[diag] = dec.part_c.array[diag] != constants + dec.epsilon
-        if wrong.any():
-            raise InternalError("remainder is not in row-constant-plus-epsilon shape")
+    if off_shape.any():
+        raise InternalError("remainder is not in row-constant-plus-epsilon shape")

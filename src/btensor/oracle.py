@@ -52,6 +52,9 @@ _NEWTON_STEPS = 32
 _POLISH = 1e-12
 _STALL = 200
 _MAX_STEPS = 10_000
+#: eigenpairs_n2 divides A by 2**k, k > 0 only where the eigenvalue bound
+#: reaches 2**_N2_EXPONENT, so that its chart polynomials keep headroom.
+_N2_EXPONENT = 1000
 
 
 @dataclass(frozen=True)
@@ -215,6 +218,8 @@ def eigenpairs_n2(A: Tensor, tol: float = 1e-8) -> list[EigenPair]:
     If the chart polynomial vanishes identically, every direction with a
     nonzero first component is an eigenvector (a continuum); the
     representative directions t in {0, 1, -1} are returned in that case.
+    Where the eigenvalue bound reaches 2**1000, the polynomials are formed
+    from A divided by a power of two, and each eigenvalue multiplied back.
 
     Raises :class:`PreconditionError` when the eigenvalue bound, 1 plus the
     largest absolute row sum, exceeds the float range.
@@ -224,11 +229,14 @@ def eigenpairs_n2(A: Tensor, tol: float = 1e-8) -> list[EigenPair]:
         raise PreconditionError(f"exhaustive enumeration needs dim 2, got {A.dim}")
     m = A.order
     rows = A.array.reshape(2, -1)
-    _spectral_bound(rows)
+    # the chart polynomials of A / 2**k: every coefficient and derivative
+    # stays finite, and every root and eigenvalue scales exactly
+    k = max(0, math.frexp(_spectral_bound(rows))[1] - _N2_EXPONENT)
+    scaled = np.ldexp(rows, -k)
     # flat index bits select component 2; the degree in t is the bit count
     counts = np.array([i.bit_count() for i in range(2 ** (m - 1))])
-    p1 = np.bincount(counts, weights=rows[0], minlength=m)
-    p2 = np.bincount(counts, weights=rows[1], minlength=m)
+    p1 = np.bincount(counts, weights=scaled[0], minlength=m)
+    p2 = np.bincount(counts, weights=scaled[1], minlength=m)
     g = np.zeros(2 * m - 1)
     g[:m] += p2
     g[m - 1:] -= p1
@@ -248,7 +256,7 @@ def eigenpairs_n2(A: Tensor, tol: float = 1e-8) -> list[EigenPair]:
     for t in ts:
         x = _canonical_rows(np.array([[1.0, t]]))[0]
         x.setflags(write=False)
-        lam = _eval(p1, t) + 0.0  # normalizes -0.0
+        lam = math.ldexp(_eval(p1, t), k) + 0.0  # normalizes -0.0
         res = residual(A, lam, x)
         if res <= tol:
             pairs.append(EigenPair(float(lam), x, res))
@@ -259,7 +267,7 @@ def eigenpairs_n2(A: Tensor, tol: float = 1e-8) -> list[EigenPair]:
         res = residual(A, lam, x)
         if res <= tol:
             pairs.append(EigenPair(lam, x, res))
-    return _dedupe_sort(pairs)
+    return _dedupe_sort(pairs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +312,9 @@ class SearchCounts:
     the passes of the fixed-point loop over its batch and
     ``newton_steps`` the stacked bordered solves of both Newton runs;
     ``pairs_found`` is the number of verified pairs before the dedupe,
-    ``pairs`` after it.
+    ``pairs`` after it, and ``starts_per_pair``, aligned with the returned
+    pairs, how many of the verified pairs the dedupe collapsed into each:
+    an eigenpair that only one start reached has 1 there.
     """
 
     handed_off: int = 0
@@ -318,6 +328,7 @@ class SearchCounts:
     newton_steps: int = 0
     pairs_found: int = 0
     pairs: int = 0
+    starts_per_pair: tuple = ()
 
 
 def search_report(A: Tensor, restarts: int = 64, seed: int = 0,
@@ -354,7 +365,7 @@ def search_report(A: Tensor, restarts: int = 64, seed: int = 0,
             x.setflags(write=False)
             pairs.append(EigenPair(lam, x, res))
     counts.pairs_found = len(pairs)
-    pairs = _dedupe_sort(pairs)
+    pairs, counts.starts_per_pair = _dedupe_sort(pairs)
     counts.pairs = len(pairs)
     return pairs, counts
 
@@ -661,16 +672,21 @@ def _bordered_solve(J, F):
 
 def _dedupe_sort(pairs):
     """Collapse pairs equal within the dedupe tolerance in both the
-    eigenvalue and the direction, preferring the smallest residual."""
+    eigenvalue and the direction, preferring the smallest residual.
+    Returns the kept pairs, sorted, and a tuple aligned with them of how
+    many of ``pairs`` each one stands for."""
     ordered = sorted(pairs, key=lambda p: (p.lam, tuple(p.x)))
-    kept = []
+    kept, merged = [], []
     for p in ordered:
         for slot, q in enumerate(kept):
             if (abs(p.lam - q.lam) <= _DEDUPE_TOL
                     and np.max(np.abs(p.x - q.x)) <= _DEDUPE_TOL):
+                merged[slot] += 1
                 if p.residual < q.residual:
                     kept[slot] = p
                 break
         else:
             kept.append(p)
-    return sorted(kept, key=lambda p: (p.lam, tuple(p.x)))
+            merged.append(1)
+    order = sorted(range(len(kept)), key=lambda s: (kept[s].lam, tuple(kept[s].x)))
+    return [kept[s] for s in order], tuple(merged[s] for s in order)

@@ -389,6 +389,23 @@ class TestNearOverflow:
                         "witness": {"pair": [1, 2], "lhs": None, "rhs": None,
                                     "margin": None}}
 
+    @pytest.mark.parametrize("argv, dense, key, want", [
+        (["decompose", "--method", "doubly-b"], [1e307, 0.0, 0.0, 1e-300], "epsilon", 5e-301),
+        (["oracle"], [1.7e308, 0.0, 0.0, -1.7e308], None, [
+            {"lambda": -1.7e308, "x": [0.0, 1.0], "residual": 0.0},
+            {"lambda": 1.7e308, "x": [1.0, 0.0], "residual": 0.0}]),
+    ])
+    def test_rows_far_apart_in_scale_exit_0(self, tmp_path, argv, dense, key, want):
+        # a 1e-300 row beside a 1e307 one splits, and the dim-2 solver keeps
+        # both eigenvalues near DBL_MAX, with nothing on stderr
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"order": 2, "dim": 2, "dense": dense}))
+        result = subprocess.run([sys.executable, "-m", "btensor.cli", *argv, str(path)],
+                                capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, "")
+        report = json.loads(result.stdout, parse_constant=_strict)
+        assert (report if key is None else report[key]) == want
+
     def test_oracle_on_overflowing_shift_exits_3(self, tmp_path):
         # the search (dim 8) and the dim-2 solver refuse alike, and the error
         # line is all a process writes on stderr: no RuntimeWarning

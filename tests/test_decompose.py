@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import btensor as bt
-from btensor import classes, decompose
+from btensor import classes, core, decompose
 from cases import (
+    GENERATORS,
     diag_index,
     make_t42,
     make_t43,
@@ -280,6 +281,163 @@ class TestVerify:
                 inexact += not np.array_equal(dec.part_b.array + dec.part_c.array, A.array)
         # the splits that do not reconstruct bitwise take the 4-ulp check
         assert members >= 80 and inexact >= 80
+
+
+def reference_parts(A, constants, eps):
+    """B = A - C with C holding the constants off the diagonal and
+    constants + eps on it, built the direct way."""
+    n, m = A.dim, A.order
+    part_c = np.broadcast_to(constants.reshape((n,) + (1,) * (m - 1)), A.array.shape).copy()
+    part_c[diag_index(n, m)] = constants + eps
+    return A.array - part_c, part_c
+
+
+def b_epsilon(stats):
+    slack = (stats.diag - stats.r_plus) - stats.upper_deficit
+    return float(stats.in_units(slack / 2.0).min())
+
+
+def doubly_b_epsilon(stats):
+    """Half of min(delta, min d), every row in the largest row unit: the
+    closed form before the pairs got their own scale, which must still hold
+    bitwise wherever no row underflows in that unit."""
+    top = stats.unit.max()
+    d = (stats.diag - stats.r_plus) * (stats.unit / top)
+    s = stats.upper_deficit * (stats.unit / top)
+    products = np.outer(d, d) - np.outer(s, s)
+    delta_pairs = 2.0 * products / (np.add.outer(d, d) + np.sqrt(
+        np.subtract.outer(d, d) ** 2 + 4.0 * np.outer(s, s)))
+    np.fill_diagonal(delta_pairs, np.inf)
+    return min(float(delta_pairs.min()), float(d.min())) / 2.0 * float(top)
+
+
+def split_members(seed):
+    """The B and doubly-B members among the ``tests/cases.py`` families at
+    a few shapes, each also with all rows near DBL_MAX and with its first
+    row alone there, so that row units exceed 1."""
+    rng = np.random.default_rng(seed)
+    for make in GENERATORS * 2:
+        for m, n in [(2, 5), (3, 4), (4, 3), (5, 2), (3, 9)]:
+            A = make(rng, m, n)
+            top = math.frexp(np.abs(A.array).max())[1] + math.frexp(n ** (m - 1))[1]
+            arr = A.array.copy()
+            arr[0] = np.ldexp(arr[0], 1000 - top)
+            for X in (A, scaled(A, 1000 - top), bt.Tensor.from_array(arr)):
+                yield X
+
+
+class TestBlockedSweeps:
+    """Both parts are written and re-verified in blocks of whole rows; the
+    block size must change no bit and no error."""
+
+    @pytest.mark.parametrize("block_entries", [1, 50, 1 << 17])
+    def test_splits_are_the_reference_construction(self, monkeypatch, block_entries):
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
+        splits = big_units = 0
+        for A in split_members(44):
+            stats = bt.row_stats(A)
+            for split, member, epsilon in ((bt.decompose_b, bt.is_b, b_epsilon),
+                                           (bt.decompose_doubly_b, bt.is_doubly_b,
+                                            doubly_b_epsilon)):
+                if not member(A):
+                    continue
+                try:
+                    dec = split(A)
+                except bt.DegenerateMarginError:
+                    # a lone row near DBL_MAX with r_plus > 0: its constant
+                    # absorbs an epsilon set by the other rows' slack
+                    assert stats.unit[0] > 1.0 and stats.shift[0] > 0.0
+                    continue
+                assert dec.epsilon == epsilon(stats)
+                part_b, part_c = reference_parts(A, stats.shift, dec.epsilon)
+                assert dec.part_b.array.tobytes() == part_b.tobytes()
+                assert dec.part_c.array.tobytes() == part_c.tobytes()
+                if dec.kind == "doublyB":
+                    assert dec.row_constants.tobytes() == stats.shift.tobytes()
+                else:
+                    assert dec.row_constants is None
+                splits += 1
+                big_units += bool(np.any(stats.unit > 1.0))
+        assert splits >= 200 and big_units >= 120
+
+    @pytest.mark.parametrize("block_entries", [1, 50, 1 << 17])
+    def test_verify_failures_raise_the_same_errors(self, monkeypatch, block_entries):
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
+        checks = TestVerify()
+        for split in (bt.decompose_b, bt.decompose_doubly_b):
+            checks.test_entry_moved_beyond_4_ulps_fails(split)
+            checks.test_entry_nudged_by_one_ulp_verifies(split)
+            for index, value in [((0, 2), -0.5), ((1, 1), -1.0)]:
+                checks.test_negative_remainder_entry_fails(split, index, value)
+        for index, delta in [((0, 2), -0.5), ((1, 1), 0.25)]:
+            checks.test_remainder_out_of_shape_fails(index, delta)
+
+    @pytest.mark.parametrize("block_entries", [1, 50, 1 << 17])
+    def test_a_fault_in_any_row_is_caught(self, monkeypatch, block_entries):
+        # order 3, dim 4: blocks of 1, 3 or all 4 rows of 16 entries
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
+        A = random_doubly_b(np.random.default_rng(45), 3, 4)
+        dec = bt.decompose_doubly_b(A)
+
+        def moved(b, c, i):
+            b[i, 0, 1] += 1e-3
+
+        def negative(b, c, i):
+            b[i, i, i] += c[i, i, i] + 1.0
+            c[i, i, i] = -1.0
+
+        def off_shape(b, c, i):
+            b[i, i, i] += 2.0 ** -20
+            c[i, i, i] -= 2.0 ** -20
+
+        for fault, message in [(moved, "reproduce the input"), (negative, "negative entry"),
+                               (off_shape, "row-constant-plus-epsilon")]:
+            for i in range(A.dim):
+                part_b, part_c = dec.part_b.array.copy(), dec.part_c.array.copy()
+                fault(part_b, part_c, i)
+                broken = dataclasses.replace(dec, part_b=bt.Tensor.from_array(part_b),
+                                             part_c=bt.Tensor.from_array(part_c))
+                with pytest.raises(bt.InternalError, match=message):
+                    decompose._verify(broken, A, classes._doubly_b_witness, "doubly B")
+
+
+    @pytest.mark.parametrize("block_entries", [1, 50, 1 << 17])
+    def test_a_part_past_dbl_max_raises_from_any_row(self, monkeypatch, block_entries):
+        # the row (1e308, -1.7e308, 1.7e308) is doubly B beside two unit
+        # rows, but its entry -1.7e308 minus r_plus 1e308 overflows in B
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
+        arr = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1e308, -1.7e308, 1.7e308]])
+        for shift in range(3):
+            A = bt.Tensor.from_array(np.roll(arr, shift, axis=(0, 1)))
+            assert bt.is_doubly_b(A)
+            with np.errstate(over="ignore"), pytest.raises(bt.InputError, match="finite"):
+                bt.decompose_doubly_b(A)
+
+
+class TestTinyRows:
+    def test_tiny_row_beside_a_huge_one_splits(self):
+        # the pair quadratic is solved at the 1e-300 row's own scale, where
+        # it does not underflow to d = 0 as it did in the 1e307 row's unit
+        A = bt.Tensor(2, 2, [1e307, 0.0, 0.0, 1e-300])
+        for split, witness, label in ((bt.decompose_b, classes._b_witness, "B"),
+                                      (bt.decompose_doubly_b, classes._doubly_b_witness,
+                                       "doubly B")):
+            dec = split(A)
+            assert dec.epsilon == 5e-301
+            decompose._verify(dec, A, witness, label)
+        check_doubly_invariants(dec, A)
+
+    def test_two_tiny_rows_are_doubly_b_and_split(self):
+        # the pair products 1e-400 underflowed to a tie, so classify raised
+        # "B implies doublyB"; each row's sides are now compared at the row's
+        # own scale
+        A = bt.Tensor(2, 2, [1e-200, -1e-201, 0.0, 1e-200])
+        flags = bt.classify(A).flags
+        assert flags["B"] and flags["doublyB"] and flags["SDDD"] and flags["F_doublyB"]
+        small = bt.decompose_doubly_b(A)
+        assert small.epsilon == math.ldexp(
+            bt.decompose_doubly_b(scaled(A, 700)).epsilon, -700)
+        check_doubly_invariants(small, A)
 
 
 class TestConverseDirections:

@@ -111,6 +111,14 @@ class TestEigenpairsN2:
         assert [p.lam for p in pairs] == lams
         assert [p.x.tolist() for p in pairs] == [[1.0, 1.0], [1.0, -1.0]]
 
+    def test_chart_polynomial_does_not_overflow_where_rows_meet(self):
+        # a22 - a11 is -3.4e308 as floats; A / 2**k keeps every coefficient
+        # finite, and both eigenvalues come back multiplied by 2**k exactly
+        # (the suite turns RuntimeWarnings into errors)
+        pairs = bt.eigenpairs_n2(bt.Tensor(2, 2, [1.7e308, 0.0, 0.0, -1.7e308]))
+        assert [(p.lam, p.x.tolist(), p.residual) for p in pairs] == [
+            (-1.7e308, [0.0, 1.0], 0.0), (1.7e308, [1.0, 0.0], 0.0)]
+
     def test_pairs_reverify_through_residual(self):
         rng = np.random.default_rng(32)
         for k in range(40):
@@ -433,6 +441,23 @@ class TestSearchReport:
             assert counts.newton_steps > 0
             # a pass halves the shift of each of at most 32 live starts once
             assert 0 < counts.halvings <= 32 * counts.passes
+
+    def test_starts_per_pair_counts_what_the_dedupe_collapsed(self):
+        rng = np.random.default_rng(77)
+        for A in (random_z(rng, 3, 4), random_symmetric(rng, 4, 3), bt.Tensor.ones(4, 3),
+                  random_tensor(rng, 3, 5)):
+            pairs, counts = bt.search_report(A, restarts=16, seed=3)
+            assert len(counts.starts_per_pair) == counts.pairs == len(pairs) > 0
+            assert sum(counts.starts_per_pair) == counts.pairs_found
+            assert all(k >= 1 for k in counts.starts_per_pair)
+
+    def test_dedupe_counts_follow_the_sorted_pairs(self):
+        x, y = np.array([1.0, 0.0]), np.array([1.0, 1.0])
+        pairs = [oracle.EigenPair(2.0, y, 1e-12), oracle.EigenPair(1.0, x, 1e-12),
+                 oracle.EigenPair(2.0 + 1e-12, y, 1e-14), oracle.EigenPair(2.0, y, 1e-13)]
+        kept, merged = oracle._dedupe_sort(pairs)
+        assert [(p.lam, p.residual) for p in kept] == [(1.0, 1e-12), (2.0 + 1e-12, 1e-14)]
+        assert merged == (1, 3)
 
     def test_overflowing_shift_is_a_precondition_error(self):
         # (0, ones) is an eigenpair, but the shift bound 1 + max|row sum| is

@@ -86,3 +86,23 @@ def test_epsilon_and_row_constants_scale_exactly():
                 assert np.array_equal(got.row_constants, np.ldexp(want.row_constants, j))
             splits += 1
     assert splits >= 200
+
+
+def test_flags_and_splits_scale_exactly_down_to_tiny_tensors():
+    # pair products of two rows near 2**-600 underflow to a tie unless each
+    # row's two sides are compared at the row's own scale
+    rng = np.random.default_rng(20)
+    splits = 0
+    for make in GENERATORS:
+        for m, n in SHAPES:
+            A = make(rng, m, n)
+            flags = bt.classify(A).flags
+            for j in (-600, -900):
+                B = scaled(A, j)
+                assert bt.classify(B).flags == flags, j
+                for flag, decompose in (("B", bt.decompose_b),
+                                        ("doublyB", bt.decompose_doubly_b)):
+                    if flags[flag]:
+                        assert decompose(B).epsilon == times(decompose(A).epsilon, j)
+                        splits += 1
+    assert splits >= 100
