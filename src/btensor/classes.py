@@ -66,16 +66,22 @@ def _first_failing_row(lhs, rhs, unit, strict=True):
     return _witness({"row": i + 1}, lhs[i], rhs[i], unit[i])
 
 
+def _scaled_rows(lhs, rhs):
+    """Both nonnegative sides of each row's pair inequality scaled by the
+    one power of two 2**-e that puts the larger in [1/2, 1), and e."""
+    e = np.frexp(np.maximum(lhs, rhs))[1]
+    return np.ldexp(lhs, -e), np.ldexp(rhs, -e), e
+
+
 def _first_failing_pair(lhs, rhs, unit):
     """First ordered pair i < j violating an outer-product inequality
     between nonnegative sides.
 
-    Both sides of row i are first scaled by one power of two, which puts
-    the larger in [1/2, 1): the inequality is homogeneous in each row, so
-    the products compare as unscaled ones would, except that those of two
-    tiny rows no longer underflow to a tie."""
-    e = np.frexp(np.maximum(lhs, rhs))[1]
-    left, right = np.ldexp(lhs, -e), np.ldexp(rhs, -e)
+    Both sides of each row are first scaled by :func:`_scaled_rows`: the
+    inequality is homogeneous in each row, so the products compare as
+    unscaled ones would, except that those of two tiny rows no longer
+    underflow to a tie."""
+    left, right, _ = _scaled_rows(lhs, rhs)
     bad = left[:, None] * left <= right[:, None] * right
     np.fill_diagonal(bad, False)
     if not bad.any():

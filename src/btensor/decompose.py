@@ -1,16 +1,17 @@
 """Constructive splittings A = B + C for B-tensors and doubly B-tensors.
 
-Both constructions shift the row-wise ``a_plus`` transform of A by a
-deterministic epsilon chosen at half of the available slack, so that the
-Z-part stays safely interior to its class.  The slack is in closed form
-from ``row_stats(A)``: the transform's diagonal is diag - r_plus and its
-deficit is ``upper_deficit``.  Besides that one ``row_stats`` sweep, each
-split walks A's rows once in cache-sized blocks to write both parts, and
-once more to re-verify them: per block, the reconstruction, both parts'
-row statistics and, for doubly B, the remainder's shape.  The class
-witnesses then read those statistics; a part that loses its class to
-rounding raises DegenerateMarginError, any other failed invariant
-InternalError.
+Both splits build the same remainder C: each row's r_plus off the
+diagonal and r_plus + epsilon on it, so that the Z-part B = A - C is the
+row-wise ``a_plus`` transform of A shifted epsilon below its diagonal.
+Only the class test and the choice of epsilon differ; epsilon is half of
+the slack the class leaves, in closed form from ``row_stats(A)``: the
+transform's diagonal is diag - r_plus and its deficit is
+``upper_deficit``.  Besides that one ``row_stats`` sweep, each split walks
+A's rows once in cache-sized blocks to write both parts, and once more to
+re-verify them: per block, the reconstruction, both parts' row statistics
+and the remainder's shape.  The kind's class witness then reads those
+statistics; a part that loses its class to rounding raises
+DegenerateMarginError, any other failed invariant InternalError.
 """
 
 from __future__ import annotations
@@ -21,19 +22,18 @@ import numpy as np
 
 from . import classes
 from .core import RowStats, Tensor, _blockwise, _row_layout, _row_sweep, _scratch, row_stats
-from .errors import ClassViolationError, DegenerateMarginError, InputError, InternalError
+from .errors import (ClassViolationError, DegenerateMarginError, InternalError,
+                     PreconditionError)
 
 
 @dataclass(frozen=True)
 class Decomposition:
     """A splitting ``part_b + part_c == A``.
 
-    ``kind`` is "B" or "doublyB".  For kind "B", ``part_b`` is a Z-tensor
-    and a B-tensor while ``part_c`` is a nonnegative B-tensor.  For kind
-    "doublyB", ``part_b`` is a Z-tensor and doubly B, and ``part_c`` is a
-    nonnegative doubly B-tensor whose row i holds the constant
-    ``row_constants[i]`` off the diagonal and ``row_constants[i] + epsilon``
-    on it.
+    ``kind`` is "B" or "doublyB": ``part_b`` is a Z-tensor of that class
+    and ``part_c`` a nonnegative tensor of that class whose row i holds
+    the constant ``row_constants[i]``, A's r_plus of row i, off the
+    diagonal and ``row_constants[i] + epsilon`` on it.
 
     Each entry of ``part_b + part_c`` is within 4 ulps of max(|a|, |c|)
     of the entry a of A (``4 * spacing``; this is what is verified), and
@@ -47,27 +47,20 @@ class Decomposition:
     part_b: Tensor
     part_c: Tensor
     epsilon: float
-    row_constants: np.ndarray | None = None
+    row_constants: np.ndarray
 
     def to_json_dict(self):
-        constants = None
-        if self.row_constants is not None:
-            constants = [float(c) for c in self.row_constants]
         return {
             "kind": self.kind,
             "epsilon": self.epsilon,
-            "row_constants": constants,
+            "row_constants": self.row_constants.tolist(),
             "B": self.part_b.to_json_dict(),
             "C": self.part_c.to_json_dict(),
         }
 
 
-def _check_epsilon(eps):
-    if not (eps > 0.0) or not np.isfinite(eps):
-        raise DegenerateMarginError(
-            f"slack margin {eps!r} is too small to split off a positive epsilon"
-        )
-    return float(eps)
+# each kind's class witness, and its name in error messages
+_CLASS = {"B": (classes._b_witness, "B"), "doublyB": (classes._doubly_b_witness, "doubly B")}
 
 
 def _split_sweep(scratch, a, b, c, pos, constants, diagonal):
@@ -83,25 +76,32 @@ def _split_sweep(scratch, a, b, c, pos, constants, diagonal):
     return (np.isfinite(b).all(axis=1),)
 
 
-def _split_off_row_constants(A, constants, eps):
-    """Return (part_b, part_c) with part_c holding ``constants[i]`` off the
-    diagonal of row i and ``constants[i] + eps`` on it, and part_b = A - part_c.
+def _split(A, kind, constants, eps):
+    """The verified split of ``kind`` with part_c holding ``constants[i]``
+    off the diagonal of row i and ``constants[i] + eps`` on it, and
+    part_b = A - part_c.
 
     Building the nonnegative part first keeps its shape exact; the
     subtraction then reproduces A bitwise for tensors whose rows do not
     span an extreme dynamic range (this is re-verified after construction).
     Both parts are written block by block, the finiteness check with them.
     """
+    if not (eps > 0.0) or not np.isfinite(eps):
+        raise DegenerateMarginError(
+            f"slack margin {eps!r} is too small to split off a positive epsilon")
     rows, pos = _row_layout(A)
     b, c = np.empty_like(rows), np.empty_like(rows)
-    # a diagonal constants + eps past DBL_MAX shows as -inf in b
-    (finite,) = _blockwise(_split_sweep, _scratch(*rows.shape), rows, b, c, pos,
-                           constants, constants + eps)
+    # an entry a - c, or a diagonal constants + eps, past DBL_MAX shows as -inf in b
+    with np.errstate(over="ignore"):
+        (finite,) = _blockwise(_split_sweep, _scratch(*rows.shape), rows, b, c, pos,
+                               constants, constants + eps)
     if not finite.all():
-        raise InputError("tensor entries must all be finite")
+        raise PreconditionError("the Z-part of the split exceeds the float range")
     shape = A.array.shape
-    return (Tensor._wrap(b.reshape(shape), finite=True),
-            Tensor._wrap(c.reshape(shape), finite=True))
+    dec = Decomposition(kind, Tensor._wrap(b.reshape(shape), finite=True),
+                        Tensor._wrap(c.reshape(shape), finite=True), eps, constants)
+    _verify(dec, A)
+    return dec
 
 
 def decompose_b(A: Tensor) -> Decomposition:
@@ -122,12 +122,7 @@ def decompose_b(A: Tensor) -> Decomposition:
             f"<= {witness['rhs']}", witness=witness)
 
     slack = (stats.diag - stats.r_plus) - stats.upper_deficit
-    eps = _check_epsilon(float(stats.in_units(slack / 2.0).min()))
-
-    part_b, part_c = _split_off_row_constants(A, stats.shift, eps)
-    dec = Decomposition("B", part_b, part_c, eps)
-    _verify(dec, A, classes._b_witness, "B")
-    return dec
+    return _split(A, "B", stats.shift, float(stats.in_units(slack / 2.0).min()))
 
 
 def _pair_margin(stats):
@@ -146,9 +141,7 @@ def _pair_margin(stats):
     (r = 1) this is the quadratic's own formula, and every other scale
     moves each operation by a power of two only; so the result is that
     of the unscaled formula wherever no value underflows."""
-    gap, deficit = stats.diag - stats.r_plus, stats.upper_deficit
-    e = np.frexp(np.maximum(gap, deficit))[1]
-    d, s = np.ldexp(gap, -e), np.ldexp(deficit, -e)
+    d, s, e = classes._scaled_rows(stats.diag - stats.r_plus, stats.upper_deficit)
     # each row's absolute scale: its unit 2**k (frexp gives k + 1) times 2**e
     scale = e + np.frexp(stats.unit)[1] - 1
     larger = scale[:, None] >= scale[None, :]
@@ -187,12 +180,7 @@ def decompose_doubly_b(A: Tensor) -> Decomposition:
             witness=witness)
 
     half_gap = stats.in_units((stats.diag - stats.r_plus) / 2.0)
-    eps = _check_epsilon(min(_pair_margin(stats), float(half_gap.min())))
-
-    part_b, part_c = _split_off_row_constants(A, stats.shift, eps)
-    dec = Decomposition("doublyB", part_b, part_c, eps, row_constants=stats.shift)
-    _verify(dec, A, classes._doubly_b_witness, "doubly B")
-    return dec
+    return _split(A, "doublyB", stats.shift, min(_pair_margin(stats), float(half_gap.min())))
 
 
 def _misfits(scratch, a, b, c):
@@ -211,35 +199,30 @@ def _misfits(scratch, a, b, c):
     return rows
 
 
-def _verify_sweep(scratch, a, b, c, pos, diag_b, diag_c, *shape):
+def _verify_sweep(scratch, a, b, c, pos, diag_b, diag_c, constants, diagonal):
     """One block of :func:`_verify`: the rows where ``b + c`` misses ``a``,
     the :class:`RowStats` fields of ``b`` and of ``c``, and the rows where
-    ``c`` is not in the shape ``shape`` = (constants, diagonal), if given."""
+    ``c`` is not ``constants`` off the diagonal and ``diagonal`` on it."""
     misfit = _misfits(scratch, a, b, c)
     fields_b = _row_sweep(scratch, b, pos, diag_b)
     fields_c = _row_sweep(scratch, c, pos, diag_c)
-    off_shape = np.zeros(len(a), dtype=bool)
-    if shape:
-        constants, diagonal = shape
-        wrong = c != constants[:, None]
-        idx = np.arange(len(c))
-        wrong[idx, pos] = c[idx, pos] != diagonal
-        off_shape = wrong.any(axis=1)
-    return (misfit, *fields_b, *fields_c, off_shape)
+    wrong = c != constants[:, None]
+    idx = np.arange(len(c))
+    wrong[idx, pos] = c[idx, pos] != diagonal
+    return (misfit, *fields_b, *fields_c, wrong.any(axis=1))
 
 
-def _verify(dec, A, witness, label):
+def _verify(dec, A):
     """Post-construction checks, all from one blocked sweep over A and the
     two parts; failures raise, never a silent return."""
+    witness, label = _CLASS[dec.kind]
     a, pos = _row_layout(A)
     n, width = a.shape
     b, c = (T.array.reshape(n, width) for T in (dec.part_b, dec.part_c))
     idx = np.arange(n)
-    shape = ()
-    if dec.kind == "doublyB":
-        shape = (dec.row_constants, dec.row_constants + dec.epsilon)
     misfit, *fields, off_shape = _blockwise(
-        _verify_sweep, _scratch(n, width), a, b, c, pos, b[idx, pos], c[idx, pos], *shape)
+        _verify_sweep, _scratch(n, width), a, b, c, pos, b[idx, pos], c[idx, pos],
+        dec.row_constants, dec.row_constants + dec.epsilon)
     half = len(fields) // 2
     stats_b = RowStats(*fields[:half], width=float(width))
     stats_c = RowStats(*fields[half:], width=float(width))

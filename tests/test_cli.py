@@ -389,6 +389,22 @@ class TestNearOverflow:
                         "witness": {"pair": [1, 2], "lhs": None, "rhs": None,
                                     "margin": None}}
 
+    def test_overflowing_z_part_exits_3_with_a_precondition_line(self, tmp_path):
+        # the input is finite and doubly B, but row 3's entry -1.7e308 minus
+        # its r_plus 1e308 is past DBL_MAX: one error line, no RuntimeWarning
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(
+            {"order": 2, "dim": 3, "dense": [1, 0, 0, 0, 1, 0, 1e308, -1.7e308, 1.7e308]}))
+        result = subprocess.run(
+            [sys.executable, "-m", "btensor.cli", "decompose", "--method", "doubly-b",
+             str(path)], capture_output=True, text=True)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        assert json.loads(line, parse_constant=_strict) == {
+            "error": "precondition",
+            "detail": "the Z-part of the split exceeds the float range"}
+
     @pytest.mark.parametrize("argv, dense, key, want", [
         (["decompose", "--method", "doubly-b"], [1e307, 0.0, 0.0, 1e-300], "epsilon", 5e-301),
         (["oracle"], [1.7e308, 0.0, 0.0, -1.7e308], None, [

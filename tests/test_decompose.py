@@ -1,13 +1,14 @@
 """Decompositions into a Z-part plus a nonnegative structured part."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import btensor as bt
-from btensor import classes, core, decompose
+from btensor import core, decompose
 from cases import (
     GENERATORS,
     diag_index,
@@ -223,10 +224,7 @@ class TestVerify:
     def verify(dec, part_b, part_c):
         dec = dataclasses.replace(dec, part_b=bt.Tensor.from_array(part_b),
                                   part_c=bt.Tensor.from_array(part_c))
-        if dec.kind == "B":
-            decompose._verify(dec, TestVerify.A, classes._b_witness, "B")
-        else:
-            decompose._verify(dec, TestVerify.A, classes._doubly_b_witness, "doubly B")
+        decompose._verify(dec, TestVerify.A)
 
     @pytest.mark.parametrize("split", [bt.decompose_b, bt.decompose_doubly_b])
     def test_entry_moved_beyond_4_ulps_fails(self, split):
@@ -257,9 +255,10 @@ class TestVerify:
         with pytest.raises(bt.InternalError, match="negative entry"):
             self.verify(dec, part_b, part_c)
 
+    @pytest.mark.parametrize("split", [bt.decompose_b, bt.decompose_doubly_b])
     @pytest.mark.parametrize("index, delta", [((0, 2), -0.5), ((1, 1), 0.25)])
-    def test_remainder_out_of_shape_fails(self, index, delta):
-        dec = bt.decompose_doubly_b(self.A)
+    def test_remainder_out_of_shape_fails(self, split, index, delta):
+        dec = split(self.A)
         part_b, part_c = dec.part_b.array.copy(), dec.part_c.array.copy()
         part_c[index] += delta
         part_b[index] -= delta
@@ -352,10 +351,7 @@ class TestBlockedSweeps:
                 part_b, part_c = reference_parts(A, stats.shift, dec.epsilon)
                 assert dec.part_b.array.tobytes() == part_b.tobytes()
                 assert dec.part_c.array.tobytes() == part_c.tobytes()
-                if dec.kind == "doublyB":
-                    assert dec.row_constants.tobytes() == stats.shift.tobytes()
-                else:
-                    assert dec.row_constants is None
+                assert dec.row_constants.tobytes() == stats.shift.tobytes()
                 splits += 1
                 big_units += bool(np.any(stats.unit > 1.0))
         assert splits >= 200 and big_units >= 120
@@ -369,15 +365,18 @@ class TestBlockedSweeps:
             checks.test_entry_nudged_by_one_ulp_verifies(split)
             for index, value in [((0, 2), -0.5), ((1, 1), -1.0)]:
                 checks.test_negative_remainder_entry_fails(split, index, value)
-        for index, delta in [((0, 2), -0.5), ((1, 1), 0.25)]:
-            checks.test_remainder_out_of_shape_fails(index, delta)
+            for index, delta in [((0, 2), -0.5), ((1, 1), 0.25)]:
+                checks.test_remainder_out_of_shape_fails(split, index, delta)
 
     @pytest.mark.parametrize("block_entries", [1, 50, 1 << 17])
     def test_a_fault_in_any_row_is_caught(self, monkeypatch, block_entries):
         # order 3, dim 4: blocks of 1, 3 or all 4 rows of 16 entries
         monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
-        A = random_doubly_b(np.random.default_rng(45), 3, 4)
-        dec = bt.decompose_doubly_b(A)
+        rng = np.random.default_rng(45)
+        A = random_doubly_b(rng, 3, 4)
+        splits = [(A, bt.decompose_doubly_b(A))]
+        A = random_b(rng, 3, 4)
+        splits.append((A, bt.decompose_b(A)))
 
         def moved(b, c, i):
             b[i, 0, 1] += 1e-3
@@ -390,27 +389,30 @@ class TestBlockedSweeps:
             b[i, i, i] += 2.0 ** -20
             c[i, i, i] -= 2.0 ** -20
 
-        for fault, message in [(moved, "reproduce the input"), (negative, "negative entry"),
-                               (off_shape, "row-constant-plus-epsilon")]:
+        for (A, dec), (fault, message) in itertools.product(
+                splits, [(moved, "reproduce the input"), (negative, "negative entry"),
+                         (off_shape, "row-constant-plus-epsilon")]):
             for i in range(A.dim):
                 part_b, part_c = dec.part_b.array.copy(), dec.part_c.array.copy()
                 fault(part_b, part_c, i)
                 broken = dataclasses.replace(dec, part_b=bt.Tensor.from_array(part_b),
                                              part_c=bt.Tensor.from_array(part_c))
                 with pytest.raises(bt.InternalError, match=message):
-                    decompose._verify(broken, A, classes._doubly_b_witness, "doubly B")
+                    decompose._verify(broken, A)
 
 
     @pytest.mark.parametrize("block_entries", [1, 50, 1 << 17])
     def test_a_part_past_dbl_max_raises_from_any_row(self, monkeypatch, block_entries):
         # the row (1e308, -1.7e308, 1.7e308) is doubly B beside two unit
-        # rows, but its entry -1.7e308 minus r_plus 1e308 overflows in B
+        # rows, but its entry -1.7e308 minus r_plus 1e308 overflows in B:
+        # a typed precondition error, with no RuntimeWarning
         monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
         arr = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1e308, -1.7e308, 1.7e308]])
         for shift in range(3):
             A = bt.Tensor.from_array(np.roll(arr, shift, axis=(0, 1)))
             assert bt.is_doubly_b(A)
-            with np.errstate(over="ignore"), pytest.raises(bt.InputError, match="finite"):
+            with pytest.raises(bt.PreconditionError,
+                               match="Z-part of the split exceeds the float range"):
                 bt.decompose_doubly_b(A)
 
 
@@ -419,12 +421,10 @@ class TestTinyRows:
         # the pair quadratic is solved at the 1e-300 row's own scale, where
         # it does not underflow to d = 0 as it did in the 1e307 row's unit
         A = bt.Tensor(2, 2, [1e307, 0.0, 0.0, 1e-300])
-        for split, witness, label in ((bt.decompose_b, classes._b_witness, "B"),
-                                      (bt.decompose_doubly_b, classes._doubly_b_witness,
-                                       "doubly B")):
+        for split in (bt.decompose_b, bt.decompose_doubly_b):
             dec = split(A)
             assert dec.epsilon == 5e-301
-            decompose._verify(dec, A, witness, label)
+            decompose._verify(dec, A)
         check_doubly_invariants(dec, A)
 
     def test_two_tiny_rows_are_doubly_b_and_split(self):
@@ -477,6 +477,7 @@ class TestSerialization:
         assert blob["row_constants"] == [0.0, 0.0]
         assert bt.Tensor.from_json_dict(blob["B"]).dim == 2
 
-    def test_b_kind_has_no_row_constants(self):
+    def test_b_kind_reports_its_row_constants(self):
+        # each row's r_plus, as in the doubly-B report
         blob = bt.decompose_b(make_t43()).to_json_dict()
-        assert blob["row_constants"] is None
+        assert blob["row_constants"] == [64.0, 16.0, 12.0]

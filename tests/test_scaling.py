@@ -82,8 +82,7 @@ def test_epsilon_and_row_constants_scale_exactly():
                 continue
             want, got = decompose(A), decompose(B)
             assert got.epsilon == times(want.epsilon, j), (flag, j)
-            if want.row_constants is not None:
-                assert np.array_equal(got.row_constants, np.ldexp(want.row_constants, j))
+            assert np.array_equal(got.row_constants, np.ldexp(want.row_constants, j))
             splits += 1
     assert splits >= 200
 
