@@ -2,7 +2,11 @@
 
 For dimension 2 the eigenvalue equation reduces to a univariate
 polynomial whose real roots enumerate the full H-spectrum, so the result
-is exhaustive up to root-finding tolerance.  For larger dimensions a
+is exhaustive up to root-finding tolerance.  The roots are isolated on
+lists of Python floats, with numpy's arithmetic in numpy's order
+(``_polydiv`` is ``numpy.polynomial.polynomial.polydiv`` step for step),
+so they come out bitwise as on numpy arrays, and a value past DBL_MAX
+becomes inf without a warning.  For larger dimensions a
 seeded, shifted fixed-point search returns a deterministic subset of the
 spectrum; completeness is not claimed there, and an empty result is a
 legal outcome.  The search hands each start whose defect falls below
@@ -39,7 +43,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .core import Tensor, _as_int, contract
 from .errors import InputError, PreconditionError
@@ -82,53 +85,92 @@ def residual(A: Tensor, lam: float, x) -> float:
 # ---------------------------------------------------------------------------
 # univariate real roots: square-free reduction, Cauchy bound, bisection
 
+def _top(c):
+    """The largest |c_i|, or NaN where some c_i is NaN, as ``np.max`` takes it."""
+    return math.nan if any(map(math.isnan, c)) else max(map(abs, c))
+
+
 def _strip(c):
     """Drop leading coefficients below the relative cutoff (ascending order)."""
-    c = np.asarray(c, dtype=np.float64)
-    top = np.max(np.abs(c)) if c.size else 0.0
+    top = _top(c) if c else 0.0
     if top == 0.0:
-        return np.zeros(0)
-    k = c.size
+        return []
+    k = len(c)
     while k > 0 and abs(c[k - 1]) <= _COEFF_CUTOFF * top:
         k -= 1
     return c[:k]
 
+
 def _eval(c, t):
     result = 0.0
-    for coeff in c[::-1]:
+    for coeff in reversed(c):
         result = result * t + coeff
     return result
 
 
 def _deriv(c):
-    if c.size <= 1:
-        return np.zeros(0)
-    return c[1:] * np.arange(1, c.size)
+    return [v * i for i, v in enumerate(c[1:], 1)]
+
+
+def _trimmed(c):
+    """``c`` without trailing exact zeros, keeping ``c[0]`` (numpy's ``trimseq``)."""
+    k = len(c)
+    while k > 1 and c[k - 1] == 0.0:
+        k -= 1
+    return c[:k]
+
+
+def _polydiv(c1, c2):
+    """Quotient and remainder of ``c1 / c2``, bitwise as numpy's ``polydiv``.
+
+    It makes numpy's float operations in numpy's order: trim trailing exact
+    zeros, divide the divisor by its leading coefficient, subtract
+    ``c2[k] * c1[j]`` from ``c1[i + k]`` for each quotient term j from the
+    top, and return ``c1[0] * 0`` where the quotient or remainder is empty.
+    """
+    c1, c2 = _trimmed(c1), _trimmed(c2)
+    n1, n2 = len(c1), len(c2)
+    if n1 < n2:
+        return [c1[0] * 0], c1
+    if n2 == 1:
+        return [v / c2[0] for v in c1], [c1[0] * 0]
+    scl = c2[-1]
+    c2 = [v / scl for v in c2[:-1]]
+    for j in range(n1 - 1, n2 - 2, -1):
+        q, i = c1[j], j - n2 + 1
+        for k, v in enumerate(c2):
+            c1[i + k] -= v * q
+    return [v / scl for v in c1[n2 - 1:]], _trimmed(c1[:n2 - 1])
+
+
+def _normalized(c):
+    top = _top(c)
+    return [v / top for v in c]
 
 
 def _gcd(a, b):
     """Euclidean polynomial gcd with a coefficient-magnitude cutoff."""
-    a = _strip(a / np.max(np.abs(a)))
-    b = _strip(b / np.max(np.abs(b))) if b.size else b
-    while b.size:
-        _, r = npoly.polydiv(a, b)
+    a = _strip(_normalized(a))
+    b = _strip(_normalized(b)) if b else b
+    while b:
+        _, r = _polydiv(a, b)
         r = _strip(r)
-        if r.size:
-            r = r / np.max(np.abs(r))
+        if r:
+            r = _normalized(r)
         a, b = b, r
     return a
 
 
 def _square_free(c):
     d = _deriv(c)
-    if d.size == 0:
+    if not d:
         return c
     g = _gcd(c, d)
-    if g.size <= 1:
+    if len(g) <= 1:
         return c
-    q, _ = npoly.polydiv(c, g)
+    q, _ = _polydiv(c, g)
     q = _strip(q)
-    return q if q.size else c
+    return q if q else c
 
 
 def _bisect(c, a, b, fa):
@@ -153,13 +195,13 @@ def _isolated_roots(c):
     (local extrema); even-multiplicity derivative roots are monotone
     pass-throughs and may be missed harmlessly.
     """
-    degree = c.size - 1
+    degree = len(c) - 1
     if degree < 1:
         return []
     if degree == 1:
         return [-c[0] / c[1]]
     critical = _isolated_roots(_strip(_deriv(c)))
-    bound = 1.0 + np.max(np.abs(c[:-1])) / abs(c[-1])
+    bound = 1.0 + _top(c[:-1]) / abs(c[-1])
     points = [-bound] + sorted(t for t in critical if -bound < t < bound) + [bound]
     values = [_eval(c, p) for p in points]
     roots = []
@@ -181,7 +223,7 @@ def _polish(c, d, t):
         if slope == 0.0:
             break
         step = t - _eval(c, t) / slope
-        if not np.isfinite(step):
+        if not math.isfinite(step):
             break
         fs = abs(_eval(c, step))
         if fs < ft:
@@ -194,7 +236,7 @@ def _polish(c, d, t):
 def _real_roots(c):
     """Sorted distinct real roots of the polynomial with ascending coefficients."""
     c = _strip(c)
-    if c.size <= 1:
+    if len(c) <= 1:
         return []
     sf = _square_free(c)
     d = _deriv(sf)
@@ -240,8 +282,9 @@ def eigenpairs_n2(A: Tensor, tol: float = 1e-8) -> list[EigenPair]:
     g = np.zeros(2 * m - 1)
     g[:m] += p2
     g[m - 1:] -= p1
+    g, p1 = g.tolist(), p1.tolist()
 
-    if np.all(g == 0.0):
+    if not any(g):
         ts = [0.0, 1.0, -1.0]
     else:
         # integer probes that evaluate to exactly zero are roots of the
@@ -259,7 +302,7 @@ def eigenpairs_n2(A: Tensor, tol: float = 1e-8) -> list[EigenPair]:
         lam = math.ldexp(_eval(p1, t), k) + 0.0  # normalizes -0.0
         res = residual(A, lam, x)
         if res <= tol:
-            pairs.append(EigenPair(float(lam), x, res))
+            pairs.append(EigenPair(lam, x, res))
     if rows[0, -1] == 0.0:
         x = _canonical_rows(np.array([[0.0, 1.0]]))[0]
         x.setflags(write=False)

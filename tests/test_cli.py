@@ -21,6 +21,7 @@ from cases import (
     random_b,
     random_hypergraph,
     random_mixed_diag,
+    random_z,
 )
 
 
@@ -421,6 +422,17 @@ class TestNearOverflow:
         assert (result.returncode, result.stderr) == (0, "")
         report = json.loads(result.stdout, parse_constant=_strict)
         assert (report if key is None else report[key]) == want
+
+    def test_dim2_oracle_past_dbl_max_in_horner_writes_nothing_on_stderr(self, tmp_path):
+        # the chart polynomial's values at the Cauchy bound pass DBL_MAX at
+        # 2**990; they become inf without a RuntimeWarning, and at the
+        # absolute default tol no pair of this scale is kept
+        A = random_z(np.random.default_rng(0), 5, 2)
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(bt.Tensor.from_array(np.ldexp(A.array, 990)).to_json_dict()))
+        result = subprocess.run([sys.executable, "-m", "btensor.cli", "oracle", str(path)],
+                                capture_output=True, text=True)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
     def test_oracle_on_overflowing_shift_exits_3(self, tmp_path):
         # the search (dim 8) and the dim-2 solver refuse alike, and the error

@@ -2,9 +2,12 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 import btensor as bt
 from btensor import oracle
@@ -156,7 +159,68 @@ class TestEigenpairsN2:
         evaluate = oracle._eval
         monkeypatch.setattr(oracle, "_eval",
                             lambda c, t: math.nan if t == -2.0 else evaluate(c, t))
-        assert oracle._isolated_roots(np.array([-1.0, 0.0, 1.0])) == [1.0]
+        assert oracle._isolated_roots([-1.0, 0.0, 1.0]) == [1.0]
+
+    def test_horner_values_past_dbl_max_raise_no_warning(self):
+        # at 2**990 the chart polynomial's values at the Cauchy bound pass
+        # DBL_MAX; as Python floats they become inf without a warning (the
+        # suite turns RuntimeWarnings into errors), and at the absolute
+        # default tol no residual of this scale passes
+        A = random_z(np.random.default_rng(0), 5, 2)
+        assert bt.eigenpairs_n2(bt.Tensor.from_array(np.ldexp(A.array, 990))) == []
+
+
+def _float_bytes(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _coefficients(rng, size):
+    """Random coefficients with exact zeros (trailing ones too), small
+    integers, negative leading terms and scalings of 2**+-1000."""
+    c = rng.uniform(-1.0, 1.0, size)
+    if rng.uniform() < 0.3:
+        c = np.round(4.0 * c)
+    c[rng.uniform(size=size) < 0.2] = 0.0
+    if rng.uniform() < 0.2:
+        c[-rng.integers(1, size + 1):] = 0.0
+    if rng.uniform() < 0.3:
+        c[-1] = -abs(c[-1]) - 0.5
+    return np.ldexp(c, int(rng.choice([0, 0, 1000, -1000]))).tolist()
+
+
+class TestUnivariateHelpers:
+    """The root isolation runs on Python floats in numpy's operation order,
+    so its quotients and values are numpy's, byte for byte."""
+
+    def test_polydiv_is_bitwise_numpys(self):
+        rng = np.random.default_rng(35)
+        for case in range(400):
+            c1 = _coefficients(rng, int(rng.integers(1, 14)))
+            # degree-0, equal-degree, lower- and higher-degree divisors
+            size = [1, len(c1), int(rng.integers(1, len(c1) + 3))][case % 3]
+            c2 = _coefficients(rng, size)
+            if not any(c2):
+                c2[0] = 1.0
+            with np.errstate(all="ignore"):
+                want = npoly.polydiv(c1, c2)
+            got = oracle._polydiv(c1, c2)
+            assert [_float_bytes(v) for v in got] == [v.tobytes() for v in want], (c1, c2)
+
+    def test_eval_is_bitwise_polyval(self):
+        rng = np.random.default_rng(36)
+        for _ in range(400):
+            c = _coefficients(rng, int(rng.integers(1, 14)))
+            for t in (0.0, -1.0, rng.uniform(-2.0, 2.0),
+                      math.ldexp(rng.uniform(-1.0, 1.0), int(rng.integers(-600, 600)))):
+                with np.errstate(all="ignore"):
+                    want = npoly.polyval(t, c)
+                assert _float_bytes(oracle._eval(c, t)) == _float_bytes(want), (c, t)
+
+    def test_import_loads_no_numpy_polynomial(self):
+        probe = "import sys, btensor.cli; print('numpy.polynomial' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe],
+                                capture_output=True, text=True, check=True)
+        assert result.stdout == "False\n"
 
 
 class TestEigenSearch:
