@@ -26,10 +26,13 @@ degree of monomials is one gather of those a degree lower times one
 gathered component.  The batch is held component-major, one column per
 start, so the per-start reductions run down the columns.
 
-Every returned pair is re-verified through :func:`residual`, an
-independent code path from the solvers.  Eigenvectors are normalized to
-max-norm 1 with the first nonzero component positive (a vector and its
-negation always carry the same eigenvalue, so nothing is lost).
+Both solvers hand their candidate pairs (lambda, x), in the order they
+made them, to one step, :func:`_verified`: it re-verifies each through
+:func:`residual`, an independent code path from the solvers, keeps the
+pairs within the tolerance and deduplicates and sorts them.  Eigenvectors
+are normalized to max-norm 1 with the first nonzero component positive (a
+vector and its negation always carry the same eigenvalue, so nothing is
+lost).
 
 The localization results for Z-tensors concern real eigenvalues that may
 have complex eigenvectors; this oracle only produces H-eigenpairs (real
@@ -40,7 +43,7 @@ spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,10 +152,14 @@ def _normalized(c):
 
 
 def _gcd(a, b):
-    """Euclidean polynomial gcd with a coefficient-magnitude cutoff."""
+    """Euclidean polynomial gcd with a coefficient-magnitude cutoff.  Once a
+    coefficient is not finite the remainders never vanish, so the gcd is
+    then the trivial [1.0]."""
     a = _strip(_normalized(a))
     b = _strip(_normalized(b)) if b else b
     while b:
+        if not all(map(math.isfinite, a + b)):
+            return [1.0]
         _, r = _polydiv(a, b)
         r = _strip(r)
         if r:
@@ -240,12 +247,17 @@ def _real_roots(c):
         return []
     sf = _square_free(c)
     d = _deriv(sf)
-    roots = sorted(_polish(sf, d, t) for t in _isolated_roots(sf))
-    distinct = []
-    for t in roots:
-        if not distinct or abs(t - distinct[-1]) > 1e-12 * max(1.0, abs(t)):
-            distinct.append(t)
-    return distinct
+    return _distinct(sorted(_polish(sf, d, t) for t in _isolated_roots(sf)))
+
+
+def _distinct(ts):
+    """``ts`` without each value within 1e-12 (relative) of one kept before
+    it, so an earlier value wins over its later twins."""
+    kept = []
+    for t in ts:
+        if all(abs(t - u) > 1e-12 * max(1.0, abs(t)) for u in kept):
+            kept.append(t)
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -289,28 +301,14 @@ def eigenpairs_n2(A: Tensor, tol: float = 1e-8) -> list[EigenPair]:
     else:
         # integer probes that evaluate to exactly zero are roots of the
         # stored polynomial; listed first, they win over bisection twins
-        probes = [t for t in (0.0, 1.0, -1.0) if _eval(g, t) == 0.0]
-        ts = []
-        for t in probes + _real_roots(g):
-            if all(abs(t - u) > 1e-12 * max(1.0, abs(t)) for u in ts):
-                ts.append(t)
-
-    pairs = []
-    for t in ts:
-        x = _canonical_rows(np.array([[1.0, t]]))[0]
-        x.setflags(write=False)
-        lam = math.ldexp(_eval(p1, t), k) + 0.0  # normalizes -0.0
-        res = residual(A, lam, x)
-        if res <= tol:
-            pairs.append(EigenPair(lam, x, res))
+        ts = _distinct([t for t in (0.0, 1.0, -1.0) if _eval(g, t) == 0.0] + _real_roots(g))
+    X = [[1.0, t] for t in ts]
+    lams = [math.ldexp(_eval(p1, t), k) + 0.0 for t in ts]  # + 0.0 normalizes -0.0
     if rows[0, -1] == 0.0:
-        x = _canonical_rows(np.array([[0.0, 1.0]]))[0]
-        x.setflags(write=False)
-        lam = float(rows[1, -1]) + 0.0
-        res = residual(A, lam, x)
-        if res <= tol:
-            pairs.append(EigenPair(lam, x, res))
-    return _dedupe_sort(pairs)[0]
+        X.append([0.0, 1.0])
+        lams.append(float(rows[1, -1]) + 0.0)
+    X = _canonical_rows(np.array(X).reshape(-1, 2))
+    return _verified(A, zip(lams, X), tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -396,21 +394,30 @@ def search_report(A: Tensor, restarts: int = 64, seed: int = 0,
     signs = np.repeat([1.0, -1.0], restarts)
 
     counts = SearchCounts()
-    pairs = []
+    candidates = []
     for x in _batched_fixed_point(rows, signs, m, np.hstack([starts, starts]),
                                   alpha0, tol, counts):
-        z = contract(A, x)
         xm = x ** (m - 1)
-        lam = float(z @ xm / (xm @ xm)) + 0.0
+        candidates.append((float(contract(A, x) @ xm / (xm @ xm)) + 0.0, x))
+    pairs, counts.starts_per_pair = _verified(A, candidates, tol)
+    counts.pairs_found = sum(counts.starts_per_pair)
+    counts.pairs = len(pairs)
+    return pairs, counts
+
+
+def _verified(A, candidates, tol):
+    """Re-verify the (lambda, x) ``candidates`` through :func:`residual` and
+    pass those within ``tol``, each with a read-only copy of x, to
+    :func:`_dedupe_sort`, whose result is returned.  The candidates' order
+    decides which of two pairs with tied sort keys is kept."""
+    pairs = []
+    for lam, x in candidates:
         res = residual(A, lam, x)
         if res <= tol:
             x = x.copy()
             x.setflags(write=False)
             pairs.append(EigenPair(lam, x, res))
-    counts.pairs_found = len(pairs)
-    pairs, counts.starts_per_pair = _dedupe_sort(pairs)
-    counts.pairs = len(pairs)
-    return pairs, counts
+    return _dedupe_sort(pairs)
 
 
 def _spectral_bound(rows):
@@ -533,9 +540,8 @@ def _batched_fixed_point(rows, signs, m, starts, alpha0, tol, counts):
                     alpha=np.full(k, alpha0), prev=np.full(k, np.inf),
                     best_res=np.full(k, np.inf), best_X=starts.copy(),
                     idle=np.zeros(k, dtype=int), age=np.zeros(k, dtype=int))
-    finished = {}
     plan = _monomial_plan(rows, m)
-    handed = _sweep(plan, m, batch, tol, _HANDOFF, finished, counts)
+    finished, handed = _sweep(plan, m, batch, tol, _HANDOFF, counts)
     counts.handed_off = handed.order.size
     if handed.order.size:
         jac, target = _jacobian_rows(rows, m), _POLISH * float(np.abs(rows).max())
@@ -545,8 +551,8 @@ def _batched_fixed_point(rows, signs, m, starts, alpha0, tol, counts):
         counts.resumed = counts.handed_off - counts.polished
         finished.update(zip(handed.order[polished], X[polished]))
         rough = polished & (defect > target)
-        again = dict(zip(handed.order[rough], X[rough]))
-        _sweep(plan, m, handed.take(np.flatnonzero(~polished)), tol, 0.0, again, counts)
+        resumed, _ = _sweep(plan, m, handed.take(np.flatnonzero(~polished)), tol, 0.0, counts)
+        again = {**dict(zip(handed.order[rough], X[rough])), **resumed}
         if again:
             # from within tol, a second run polishes what the first left rough
             # or the fixed point finished; it never ends worse than it starts
@@ -558,17 +564,17 @@ def _batched_fixed_point(rows, signs, m, starts, alpha0, tol, counts):
     return [finished[i] for i in sorted(finished)]
 
 
-def _sweep(plan, m, batch, tol, handoff, finished, counts):
+def _sweep(plan, m, batch, tol, handoff, counts):
     """Iterate ``batch`` until every start has converged, stalled,
     degenerated, run out of steps or been handed off (defect below
     ``handoff``).  ``plan`` is the :func:`_monomial_plan` of the tensor.
-    Vectors of the retired starts whose best defect is within ``tol`` go
-    into ``finished``; returns the handed-off starts, their state as it was
-    before the step that handed them off, so that a sweep of them repeats
-    that step first."""
+    Returns ``finished``, the best vector of each retired start whose best
+    defect is within ``tol``, keyed by its start index in retirement order,
+    and the handed-off starts, their state as it was before the step that
+    handed them off, so that a sweep of them repeats that step first."""
     S, steps = plan
     power = 1.0 / (m - 1)
-    handed = [batch.take([])]
+    finished, handed = {}, [batch.take([])]
     while batch.order.size:
         counts.passes += 1
         X = batch.X
@@ -623,8 +629,8 @@ def _sweep(plan, m, batch, tol, handoff, finished, counts):
         batch.X = _scaled_columns(Xn, scale)
         batch.idle += 1
         batch.age += 1
-    return _Starts(*(np.concatenate([getattr(h, f.name) for h in handed], axis=-1)
-                     for f in fields(_Starts)))
+    return finished, _Starts(*(np.concatenate(v, axis=-1)
+                               for v in zip(*(vars(h).values() for h in handed))))
 
 
 def _jacobian_rows(rows, m):

@@ -43,6 +43,8 @@ class TestResidual:
 
 class TestEigenpairsN2:
     def test_all_ones_golden(self):
+        # t = 1 and t = -1 are exact probe roots here; their bisection twins
+        # are off in the last bits, so this also pins that the probes win
         pairs = bt.eigenpairs_n2(bt.Tensor.ones(4, 2))
         assert [(p.lam, p.x.tolist()) for p in pairs] == [
             (0.0, [1.0, -1.0]), (8.0, [1.0, 1.0])]
@@ -215,6 +217,38 @@ class TestUnivariateHelpers:
                 with np.errstate(all="ignore"):
                     want = npoly.polyval(t, c)
                 assert _float_bytes(oracle._eval(c, t)) == _float_bytes(want), (c, t)
+
+    def test_real_roots_keeps_one_root_per_cluster(self):
+        # polishing brings two bracketed roots of this polynomial within
+        # 1e-12 of each other near 1/3; one of them stands for both
+        c = [0.004186707299833447, 0.012560121899500355, -0.0753607313970021,
+             -0.22608219419100628, 0.3391232912865096, 1.0173698738595285]
+        sf = oracle._square_free(c)
+        raw = sorted(oracle._polish(sf, oracle._deriv(sf), t) for t in oracle._isolated_roots(sf))
+        roots = oracle._real_roots(c)
+
+        def close(s, t):
+            return abs(s - t) <= 1e-12 * max(1.0, abs(s))
+
+        assert len(raw) == 3 and len(roots) == 2
+        assert all(any(close(t, u) for u in roots) for t in raw)
+        assert not close(roots[1], roots[0])
+
+    def test_gcd_ends_on_non_finite_coefficients(self):
+        # the derivative of this polynomial overflows, and the gcd's
+        # remainders then hold NaN and never vanish; run in a subprocess so
+        # that a hang fails this test instead of stalling the suite
+        c = [3.0824642230149443e+304, -1.3871089003567248e+305, -4.6236963345224175e+305,
+             2.7433931584833003e+306, 4.6236963345224276e+305, -1.553561968399532e+307,
+             1.4148510783638593e+307, 1.747757214449474e+307, -2.996155224770527e+307,
+             1.1235582092889474e+307]
+        probe = ("import json; from btensor import oracle; "
+                 f"print(json.dumps(oracle._real_roots({c!r})))")
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                timeout=30, check=True)
+        roots = json.loads(result.stdout)
+        assert roots and all(math.isfinite(t) for t in roots)
+        assert oracle._gcd(c, oracle._deriv(c)) == [1.0]
 
     def test_import_loads_no_numpy_polynomial(self):
         probe = "import sys, btensor.cli; print('numpy.polynomial' in sys.modules)"
@@ -522,6 +556,15 @@ class TestSearchReport:
         kept, merged = oracle._dedupe_sort(pairs)
         assert [(p.lam, p.residual) for p in kept] == [(1.0, 1e-12), (2.0 + 1e-12, 1e-14)]
         assert merged == (1, 3)
+
+    def test_dedupe_keeps_the_first_of_tied_pairs(self):
+        # -0.0 == 0.0, so the sort keys tie and the first pair given stands
+        # for both: the solvers keep their candidates in start order so that
+        # the returned vectors stay bitwise the same
+        neg, pos = (oracle.EigenPair(1.0, np.array([1.0, z]), 1e-12) for z in (-0.0, 0.0))
+        for pairs in ([neg, pos], [pos, neg]):
+            kept, merged = oracle._dedupe_sort(pairs)
+            assert kept[0] is pairs[0] and merged == (2,)
 
     def test_overflowing_shift_is_a_precondition_error(self):
         # (0, ones) is an eigenpair, but the shift bound 1 + max|row sum| is
