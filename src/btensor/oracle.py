@@ -245,6 +245,11 @@ def _real_roots(c):
     c = _strip(c)
     if len(c) <= 1:
         return []
+    # c / 2**k has the same roots, and its derivatives of every order, whose
+    # coefficients stay below deg! * max|c_i| / 2**k, are finite
+    k = math.frexp(_top(c))[1] + math.factorial(len(c) - 1).bit_length() - 1023
+    if k > 0:
+        c = [math.ldexp(v, -k) for v in c]
     sf = _square_free(c)
     d = _deriv(sf)
     return _distinct(sorted(_polish(sf, d, t) for t in _isolated_roots(sf)))

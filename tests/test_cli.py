@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import btensor as bt
@@ -132,6 +132,20 @@ class TestFailurePaths:
         code, _, err = run_main(capsys, ["classify", "/nonexistent/input.json"])
         assert code == 2
         assert json.loads(err)["error"] == "input"
+
+    @pytest.mark.parametrize("relative", ["missing/report.json", ""],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_out_exits_2(self, tmp_path, t43_path, relative):
+        # one strict-JSON error line instead of a traceback
+        target = tmp_path / relative
+        result = subprocess.run(
+            [sys.executable, "-m", "btensor.cli", "classify", "--out", str(target), t43_path],
+            capture_output=True, text=True)
+        assert (result.returncode, result.stdout) == (2, "")
+        [line] = result.stderr.splitlines()
+        error = json.loads(line, parse_constant=_strict)
+        assert error["error"] == "input"
+        assert error["detail"].startswith(f"cannot write {target}: ")
 
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -458,7 +472,8 @@ def _fixture_payloads():
     rng = np.random.default_rng(43)
     inputs = [make_t43(), make_t42(), make_z32(), bt.Tensor.identity(3, 2),
               random_mixed_diag(rng, 3, 3), random_b(rng, 2, 4),
-              random_hypergraph(rng, 5, 3), random_hypergraph(rng, 5, 3)]
+              random_hypergraph(rng, 5, 3), random_hypergraph(rng, 5, 3),
+              random_b(rng, 4, 6)]  # 1296 entries: a split's C is a few long runs
     return [x.to_json_dict() for x in inputs]
 
 
@@ -530,6 +545,20 @@ _VALUES = st.recursive(
     max_leaves=30)
 
 
+_DBL_MAX = 1.7976931348623157e308
+#: A list of float runs, each a value and its length.
+_RUNS = st.lists(st.tuples(_FLOATS, st.integers(1, 600)), min_size=1, max_size=24)
+
+
+def _from_runs(runs, size):
+    """``size`` items: the runs in turn, repeated as needed, the last cut short."""
+    items = []
+    while len(items) < size:
+        for value, count in runs:
+            items += [value] * count
+    return items[:size]
+
+
 def _both_encoders(value):
     return (json.dumps(value, indent=2, allow_nan=False),
             json.dumps(value, cls=_ReportEncoder, indent=2, allow_nan=False))
@@ -569,6 +598,43 @@ class TestReportBytes:
             for cls in (None, _ReportEncoder):
                 with pytest.raises(ValueError):
                     json.dumps(doc, cls=cls, indent=2, allow_nan=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_RUNS, st.sampled_from([1023, 1024]) | st.integers(1024, 4096))
+    @example([(5e-324, 1), (0.0, 511), (-0.0, 511), (-_DBL_MAX, 1)], 1024)
+    @example([(5e-324, 1), (-0.0, 510), (0.0, 511), (_DBL_MAX, 1)], 1023)
+    @example([(_DBL_MAX, 1), (-0.0, 1), (0.0, 1), (-_DBL_MAX, 1)], 2048)
+    @example([(1.0, 1), (2.0, 1), (1.0, 2)], 4096)
+    def test_long_float_runs_match_json_dumps(self, runs, size):
+        items = _from_runs(runs, size)
+        for value in (items, tuple(items), {"C": {"dense": items}}):
+            expected, got = _both_encoders(value)
+            assert got == expected
+
+    @pytest.mark.parametrize("intruder", [7, True, False, 2**80, np.float64(0.5),
+                                          np.float64(-0.0)])
+    @pytest.mark.parametrize("at", [0, 700, 2047])
+    def test_long_runs_with_a_non_float_match_json_dumps(self, intruder, at):
+        items = [0.5] * 1024 + [-0.0] * 1024
+        items[at] = intruder
+        expected, got = _both_encoders({"dense": items})
+        assert got == expected
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("run", [1, 300])
+    def test_non_finite_floats_in_long_runs_raise_in_both_encoders(self, bad, run):
+        items = [1.0] * 1000 + [bad] * run + [2.0] * 1000
+        for cls in (None, _ReportEncoder):
+            with pytest.raises(ValueError):
+                json.dumps({"dense": items}, cls=cls, indent=2, allow_nan=False)
+
+    def test_split_parts_hold_long_float_runs(self):
+        # the fixture reports cross the run path: C holds 1296 floats in runs
+        tensor = bt.Tensor.from_json_dict(_fixture_payloads()[-1])
+        for split in (bt.decompose_b, bt.decompose_doubly_b):
+            bits = np.array(split(tensor).to_json_dict()["C"]["dense"]).view(np.uint64)
+            runs = 1 + np.count_nonzero(bits[1:] != bits[:-1])
+            assert len(bits) == 1296 and 2 * runs <= len(bits)
 
     def test_parser_reuse_matches_fresh_processes(self, capsys, tmp_path, t43_path):
         target = tmp_path / "split.json"

@@ -234,14 +234,17 @@ class TestUnivariateHelpers:
         assert all(any(close(t, u) for u in roots) for t in raw)
         assert not close(roots[1], roots[0])
 
+    #: a polynomial whose derivative overflows
+    OVERFLOWING = [3.0824642230149443e+304, -1.3871089003567248e+305, -4.6236963345224175e+305,
+                   2.7433931584833003e+306, 4.6236963345224276e+305, -1.553561968399532e+307,
+                   1.4148510783638593e+307, 1.747757214449474e+307, -2.996155224770527e+307,
+                   1.1235582092889474e+307]
+
     def test_gcd_ends_on_non_finite_coefficients(self):
-        # the derivative of this polynomial overflows, and the gcd's
-        # remainders then hold NaN and never vanish; run in a subprocess so
-        # that a hang fails this test instead of stalling the suite
-        c = [3.0824642230149443e+304, -1.3871089003567248e+305, -4.6236963345224175e+305,
-             2.7433931584833003e+306, 4.6236963345224276e+305, -1.553561968399532e+307,
-             1.4148510783638593e+307, 1.747757214449474e+307, -2.996155224770527e+307,
-             1.1235582092889474e+307]
+        # the gcd's remainders of c and its overflowing derivative hold NaN
+        # and never vanish; run in a subprocess so that a hang fails this
+        # test instead of stalling the suite
+        c = self.OVERFLOWING
         probe = ("import json; from btensor import oracle; "
                  f"print(json.dumps(oracle._real_roots({c!r})))")
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
@@ -249,6 +252,15 @@ class TestUnivariateHelpers:
         roots = json.loads(result.stdout)
         assert roots and all(math.isfinite(t) for t in roots)
         assert oracle._gcd(c, oracle._deriv(c)) == [1.0]
+
+    @pytest.mark.parametrize("shift", [0, 6, 10])
+    def test_real_roots_survive_derivative_overflow(self, shift):
+        # at shift 0 the first derivative overflows, at 6 and 10 a later one;
+        # the copy divided by 2**1000 has every derivative finite
+        c = [math.ldexp(v, -shift) for v in self.OVERFLOWING]
+        roots = oracle._real_roots(c)
+        assert roots == oracle._real_roots([math.ldexp(v, -1000) for v in self.OVERFLOWING])
+        assert len(roots) == 5
 
     def test_import_loads_no_numpy_polynomial(self):
         probe = "import sys, btensor.cli; print('numpy.polynomial' in sys.modules)"
