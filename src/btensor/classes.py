@@ -28,7 +28,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import Tensor, _diag_index, _r_plus, row_stats
-from .errors import InternalError
+from .errors import InternalError, PreconditionError
 
 FLAG_NAMES = ("Z", "B", "B0", "doublyB", "SDD", "SDDD", "F_B", "F_doublyB")
 
@@ -177,10 +177,16 @@ def a_plus(A: Tensor) -> Tensor:
     """Subtract each row's r_plus from every entry of that row.
 
     The result is always a Z-tensor, and it preserves membership in the
-    B and doubly-B classes in both directions.
+    B and doubly-B classes in both directions.  It is A itself, bitwise,
+    when A is a Z-tensor, since a - 0.0 is a; only a row with r_plus > 0
+    can leave the float range, which raises PreconditionError.
     """
     shift = _r_plus(A).reshape((A.dim,) + (1,) * (A.order - 1))
-    return Tensor._wrap(A.array - shift)
+    with np.errstate(over="ignore"):
+        arr = A.array - shift
+    if shift.any() and not np.isfinite(arr).all():
+        raise PreconditionError("the a_plus transform exceeds the float range")
+    return Tensor._wrap(arr, finite=True)
 
 
 def f_transform(A: Tensor) -> Tensor:
@@ -190,7 +196,7 @@ def f_transform(A: Tensor) -> Tensor:
     """
     diag = A.array[_diag_index(A.dim, A.order)]
     signs = np.sign(diag).reshape((A.dim,) + (1,) * (A.order - 1))
-    return Tensor._wrap(signs * A.array)
+    return Tensor._wrap(signs * A.array, finite=True)
 
 
 def check_f_b(A: Tensor) -> bool:

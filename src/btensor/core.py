@@ -266,6 +266,12 @@ class RowStats:
     is 0, so on Z-tensors doubly B and SDDD compare the same floats; else it
     is clamped at 0 against rounding.
 
+    On a row of one sign, r_plus or r_minus 0, ``off_diag_abs_sum`` is
+    0.0 - S or S + 0.0: rounding to nearest is symmetric in sign, so a sum
+    of nonpositive entries is bitwise minus the sum of their negations, and
+    -0.0 entries move no nonzero sum.  The two forms turn a zero S of
+    either sign into the +0.0 that a sum of absolute values gives.
+
     Every field of row i is given in the row's ``unit``, a power of two
     2**k_i that is 1 unless the row's entries reach about 2**500 / W: the
     stored values are those of the row divided by its unit, so every field
@@ -355,7 +361,13 @@ def _row_sweep(scratch, rows, pos, diag):
     diagonal sits at ``pos``, each row divided by its unit 2**k_i, k_i =
     max(0, e(max|a|) + e(W) - ``_UNIT_EXPONENT``) for binary exponents e:
     every sum stays below about 2**500 and so every product of two fields
-    below DBL_MAX.  With k_i = 0 no bit changes."""
+    below DBL_MAX.  With k_i = 0 no bit changes.
+
+    When every row of the block has r_plus or r_minus 0 in its unit, the
+    absolute sums are the signed sums as :class:`RowStats` states, and the
+    absolute-value pass and its sum are skipped.  The test reads the scaled
+    r_plus and r_minus, which come from the scaled entries by the same
+    ``ldexp``, so an entry that underflows in its unit is 0 on both sides."""
     width = rows.shape[1]
     idx = np.arange(len(rows))
     (r_plus,) = _r_plus_sweep(scratch, rows, pos)
@@ -373,14 +385,19 @@ def _row_sweep(scratch, rows, pos, diag):
         np.ldexp(scratch, -k[:, None], out=scratch)
         diag, r_plus, r_minus = (np.ldexp(v, -k) for v in (diag, r_plus, r_minus))
     off_sum = scratch.sum(axis=1)
-    # off_sum and the absolute sum run on one buffer in one order
     row_sum = diag + off_sum
-    np.abs(scratch, out=scratch)
-    off_diag_abs_sum = scratch.sum(axis=1)
+    nonpositive = r_plus == 0.0
+    if np.all(nonpositive | (r_minus == 0.0)):
+        # every row of one sign: its absolute sum is +-off_sum, bitwise
+        off_diag_abs_sum = np.where(nonpositive, 0.0 - off_sum, off_sum + 0.0)
+    else:
+        # off_sum and the absolute sum run on one buffer in one order
+        np.abs(scratch, out=scratch)
+        off_diag_abs_sum = scratch.sum(axis=1)
     upper = np.maximum((width - 1) * r_plus - off_sum, 0.0)
     lower = np.maximum(off_sum - (width - 1) * r_minus, 0.0)
     return (diag, r_plus, r_minus, row_sum, off_diag_abs_sum,
-            np.where(r_plus == 0.0, off_diag_abs_sum, upper),
+            np.where(nonpositive, off_diag_abs_sum, upper),
             np.where(r_minus == 0.0, off_diag_abs_sum, lower),
             row_sum - width * r_plus, row_sum - width * r_minus, shift, unit)
 
@@ -440,7 +457,7 @@ def principal_subtensor(A: Tensor, members) -> Tensor:
         raise InputError("index set must be nonempty")
     if any(a >= b for a, b in zip(zero_based, zero_based[1:])):
         raise InputError("index set must be strictly increasing")
-    return Tensor._wrap(A.array[np.ix_(*([zero_based] * A.order))])
+    return Tensor._wrap(A.array[np.ix_(*([zero_based] * A.order))], finite=True)
 
 
 def is_symmetric(A: Tensor) -> bool:

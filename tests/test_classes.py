@@ -1,6 +1,7 @@
 """Class predicates, transforms, and their equivalence ladder."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,31 @@ class TestTransforms:
                 assert np.all(stats.unit > 1.0) if big else np.all(stats.unit == 1.0)
                 shift = stats.in_units(stats.r_plus).reshape((n,) + (1,) * (m - 1))
                 assert bt.a_plus(A).array.tobytes() == (A.array - shift).tobytes()
+
+    def test_a_plus_of_a_z_tensor_is_the_tensor(self):
+        # a - 0.0 is a, -0.0 included: no row is shifted, and the result is a
+        # read-only copy
+        rng = np.random.default_rng(4)
+        for m, n in [(2, 1), (2, 4), (3, 3), (4, 3)]:
+            arr = random_z(rng, m, n).array.copy()
+            arr[rng.random(arr.shape) < 0.3] = -0.0
+            arr[rng.random(arr.shape) < 0.2] = 0.0
+            A = bt.Tensor.from_array(arr)
+            P = bt.a_plus(A)
+            assert P.array.tobytes() == A.array.tobytes()
+            assert not P.array.flags.writeable
+            assert not np.shares_memory(P.array, A.array)
+
+    def test_a_plus_past_the_float_range_is_a_precondition_error(self):
+        # a valid input whose shifted row leaves the float range: no
+        # overflow warning and no complaint about the input
+        A = matrix([[-1.5e308, 1e308], [0, 1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(bt.PreconditionError, match="a_plus transform exceeds"):
+                bt.a_plus(A)
+            assert bt.a_plus(matrix([[1.5e308, 1e308], [0, 1]])) == matrix(
+                [[1.5e308 - 1e308, 0], [0, 1]])
 
     def test_r_plus_of_a_negative_zero_row_is_positive_zero(self):
         # row 1's largest off-diagonal entry is -0.0; its r_plus is +0.0, so

@@ -611,6 +611,24 @@ class TestReportBytes:
             expected, got = _both_encoders(value)
             assert got == expected
 
+    @pytest.mark.parametrize("prefix, scanned", [
+        ([float(k) for k in range(64)], False),           # 63 changes of 63
+        ([float(k // 2) for k in range(1, 65)], False),   # 32 changes
+        ([float(k // 2) for k in range(64)], True),       # 31 changes
+        ([0.0, -0.0] * 32, True),                         # equal under ==
+    ])
+    def test_long_runs_after_a_changing_prefix_match_json_dumps(
+            self, monkeypatch, prefix, scanned):
+        # the first 64 items decide whether the runs are looked for at all;
+        # the text is json's either way
+        items = prefix + [0.25] * 2000 + [-0.0] * 2000
+        scans = []
+        fromiter = np.fromiter
+        monkeypatch.setattr(cli.np, "fromiter", lambda *a: scans.append(1) or fromiter(*a))
+        expected, got = _both_encoders({"dense": items})
+        assert got == expected
+        assert bool(scans) == scanned
+
     @pytest.mark.parametrize("intruder", [7, True, False, 2**80, np.float64(0.5),
                                           np.float64(-0.0)])
     @pytest.mark.parametrize("at", [0, 700, 2047])

@@ -192,6 +192,34 @@ class TestPolyeval:
         assert direct == pytest.approx(via_contract, rel=1e-10, abs=1e-10)
 
 
+def reference_row_stats(A):
+    """The :class:`RowStats` fields, in order, from the whole (n, W) row
+    array at once, always summing the absolute values of the entries in
+    their unit; the unit rule is that of the sweep."""
+    rows, pos = core._row_layout(A)
+    n, width = rows.shape
+    idx = np.arange(n)
+    off = rows.copy()
+    off[idx, pos] = -np.inf
+    r_plus = np.maximum(off.max(axis=1), 0.0)
+    off[idx, pos] = np.inf
+    r_minus = np.minimum(0.0, off.min(axis=1))
+    off[idx, pos] = 0.0
+    diag = rows[idx, pos]
+    top = np.abs((diag, r_plus, r_minus)).max(axis=0)
+    k = np.maximum(0, np.frexp(top)[1] + math.frexp(width)[1] - core._UNIT_EXPONENT)
+    shift, unit = r_plus, np.ldexp(1.0, k)
+    off = np.ldexp(off, -k[:, None])
+    diag, r_plus, r_minus = (np.ldexp(v, -k) for v in (diag, r_plus, r_minus))
+    off_sum, abs_sum = off.sum(axis=1), np.abs(off).sum(axis=1)
+    row_sum = diag + off_sum
+    upper = np.maximum((width - 1) * r_plus - off_sum, 0.0)
+    lower = np.maximum(off_sum - (width - 1) * r_minus, 0.0)
+    return (diag, r_plus, r_minus, row_sum, abs_sum,
+            np.where(r_plus == 0.0, abs_sum, upper), np.where(r_minus == 0.0, abs_sum, lower),
+            row_sum - width * r_plus, row_sum - width * r_minus, shift, unit)
+
+
 class TestRowStats:
     def test_t43_row2(self):
         st_ = bt.row_stats(make_t43())
@@ -339,6 +367,37 @@ class TestRowStats:
                 assert not np.isnan(getattr(got, field)).any(), field
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
+    @pytest.mark.parametrize("rows_per_block", [1, 2, None])
+    def test_one_signed_rows_skip_no_bit(self, monkeypatch, rows_per_block):
+        # where every row of a block has one sign, the sweep reads the
+        # absolute sums off the signed sums; each field must stay bitwise
+        # that of a sweep that always sums the absolute values
+        rng = np.random.default_rng(43)
+        samples = [np.zeros((1, 1)), np.full((3, 3, 3), -0.0), np.array([[-0.0, -0.0], [0.0, -0.0]])]
+        for m, n in [(2, 1), (3, 1), (2, 2), (2, 5), (3, 3), (3, 4), (4, 3)]:
+            z = random_z(rng, m, n).array
+            signed_zeros = np.where(rng.random(z.shape) < 0.3, -0.0, z)
+            tiny = np.where(rng.random(z.shape) < 0.5, -1.0, 1.0) * 5e-324 * rng.integers(0, 9, z.shape)
+            spread = 10.0 ** rng.uniform(-320.0, 0.0, z.shape)
+            spread.reshape(n, -1)[:, 0] = 1.0  # one entry per row at full scale
+            spread *= z / np.abs(z).max() * 1.5e308
+            mixed = random_tensor(rng, m, n).array.copy()
+            for i in range(n):  # rows of one sign or of both, in any order
+                mixed[i] = [-np.abs(mixed[i]), np.abs(mixed[i]), mixed[i]][rng.integers(3)]
+            samples += [z, -z, np.abs(z), signed_zeros, -signed_zeros, tiny, -np.abs(tiny),
+                        spread, -spread, mixed,
+                        mixed / np.abs(mixed).max() * 1.5e308]
+        fields = [f for f in bt.RowStats.__dataclass_fields__ if f != "width"]
+        for arr in samples:
+            A = bt.Tensor.from_array(arr)
+            width = A.dim ** (A.order - 1)
+            if rows_per_block is not None:
+                monkeypatch.setattr(core, "_BLOCK_ENTRIES", rows_per_block * width)
+            got = bt.row_stats(A)
+            monkeypatch.undo()
+            for field, want in zip(fields, reference_row_stats(A)):
+                assert getattr(got, field).tobytes() == want.tobytes(), (field, arr)
+
     def test_row_sums_cancel_exactly_near_overflow(self):
         # each row's absolute off-diagonal sum is 3e308, finite in the row's
         # unit and infinite only once multiplied back
@@ -466,3 +525,28 @@ class TestOwnership:
         for _ in range(5):
             G = random_hypergraph(rng, 5, 3)
             self.assert_owned(bt.laplacian_tensor(G), G.degrees)
+
+    def test_builders_that_prove_finiteness_keep_their_entries(self):
+        # f_transform, principal_subtensor and laplacian_tensor skip the
+        # finiteness pass: their entries are those of the definitions, and
+        # finite, also next to DBL_MAX
+        rng = np.random.default_rng(47)
+        for m, n in [(2, 1), (2, 4), (3, 3), (4, 3)]:
+            arr = random_mixed_diag(rng, m, n).array
+            for A in (bt.Tensor.from_array(arr),
+                      bt.Tensor.from_array(arr / np.abs(arr).max() * 1.7e308)):
+                signs = np.sign(A.array[core._diag_index(n, m)])
+                flipped = bt.f_transform(A).array
+                assert flipped.tobytes() == (signs.reshape((n,) + (1,) * (m - 1))
+                                             * A.array).tobytes()
+                members = sorted(rng.choice(np.arange(1, n + 1), size=max(1, n - 1),
+                                            replace=False).tolist())
+                sub = bt.principal_subtensor(A, members).array
+                zero_based = [i - 1 for i in members]
+                assert sub.tobytes() == A.array[np.ix_(*[zero_based] * m)].tobytes()
+                assert np.isfinite(flipped).all() and np.isfinite(sub).all()
+        for n, m in [(1, 2), (5, 3), (6, 4)]:
+            G = random_hypergraph(rng, n, m)
+            L = bt.laplacian_tensor(G)
+            assert L == bt.Tensor.from_array(L.array)  # passes the checked constructor
+            assert np.array_equal(L.array[core._diag_index(n, m)], G.degrees)
