@@ -181,11 +181,14 @@ def a_plus(A: Tensor) -> Tensor:
     when A is a Z-tensor, since a - 0.0 is a; only a row with r_plus > 0
     can leave the float range, which raises PreconditionError.
     """
-    shift = _r_plus(A).reshape((A.dim,) + (1,) * (A.order - 1))
+    r_plus = _r_plus(A)
     with np.errstate(over="ignore"):
-        arr = A.array - shift
-    if shift.any() and not np.isfinite(arr).all():
-        raise PreconditionError("the a_plus transform exceeds the float range")
+        arr = A.array - r_plus.reshape((A.dim,) + (1,) * (A.order - 1))
+        # fl(a - r) is monotone in a, so a row leaves the float range exactly
+        # where its smallest entry does
+        if r_plus.any() and np.isneginf(
+                np.minimum.reduce(A.array.reshape(A.dim, -1), axis=1) - r_plus).any():
+            raise PreconditionError("the a_plus transform exceeds the float range")
     return Tensor._wrap(arr, finite=True)
 
 

@@ -458,7 +458,10 @@ def _scaled_columns(X, scale):
 
 def _power(X, p):
     """``X ** p`` taken on the magnitudes, with the sign put back for odd
-    ``p``: numpy's pow leaves its vectorized path on negative bases."""
+    ``p``: numpy's pow leaves its vectorized path on negative bases.  The
+    square is ``X * X``, bitwise ``|X| ** 2``."""
+    if p == 2:
+        return X * X
     Y = np.abs(X) ** p
     return Y if p % 2 == 0 else np.copysign(Y, X)
 
@@ -518,7 +521,7 @@ class _Starts:
 
     def take(self, idx):
         """The starts at the indices ``idx``."""
-        return _Starts(*(v.take(idx, axis=-1) for v in vars(self).values()))
+        return _Starts(*_taken(idx, *vars(self).values()))
 
 
 def _batched_fixed_point(rows, signs, m, starts, alpha0, tol, counts):
@@ -576,66 +579,132 @@ def _sweep(plan, m, batch, tol, handoff, counts):
     Returns ``finished``, the best vector of each retired start whose best
     defect is within ``tol``, keyed by its start index in retirement order,
     and the handed-off starts, their state as it was before the step that
-    handed them off, so that a sweep of them repeats that step first."""
+    handed them off, so that a sweep of them repeats that step first.
+
+    The loop holds the batch in local arrays and keeps one pass clock,
+    ``t``, the value of ``counts.passes`` during a pass.  Each start stores
+    the pass of its last gain, ``gain``, and the pass at which its age was
+    0, ``born``: its ``idle`` is ``t - gain`` and its ``age`` is
+    ``t - born``, as the hand-off record gives them back.  The converged
+    and degenerate tests run on every pass; the ``_STALL`` and
+    ``_MAX_STEPS`` limits are tested only from pass ``due`` on, the
+    earliest pass at which some start could reach one of them, which is
+    recomputed after each test and each compaction."""
     S, steps = plan
     power = 1.0 / (m - 1)
+    bar = 0.9 * tol
+    stall, last_step = _STALL, _MAX_STEPS - 1
     finished, handed = {}, [batch.take([])]
-    while batch.order.size:
-        counts.passes += 1
-        X = batch.X
-        # multiplying by -1 is exact: a -1 column sees the product with -A
-        Z = S @ _monomials(X, steps)
-        Z *= batch.signs
+    X, signs, order, alpha, prev = batch.X, batch.signs, batch.order, batch.alpha, batch.prev
+    best_res, best_X = batch.best_res, batch.best_X
+    t = counts.passes
+    gain, born = (t + 1) - batch.idle, (t + 1) - batch.age
+    cols = np.arange(order.size)
+    due = _due(gain, born, stall, last_step)
+    halvings = 0
+    while order.size:
+        t += 1
+        # multiplying by -1 is exact: a -1 column sees the product with -A;
+        # dot makes the BLAS call of @ at less overhead
+        Z = S.dot(_monomials(X, steps))
+        Z *= signs
         XM = _power(X, m - 1)
-        lam = (Z * XM).sum(axis=0) / (XM * XM).sum(axis=0)
-        res = np.abs(Z - lam * XM).max(axis=0)
+        T = Z * XM
+        lam = np.add.reduce(T, axis=0)
+        np.multiply(XM, XM, out=T)
+        lam /= np.add.reduce(T, axis=0)
+        np.multiply(XM, lam, out=T)
+        np.subtract(Z, T, out=T)
+        res = np.maximum.reduce(np.abs(T, out=T), axis=0)
+        # the smallest defect that is not NaN: no NaN passes either bar
+        low = np.fmin.reduce(res)
 
-        if handoff:
+        if low < handoff:
             hand = res < handoff
-            if np.count_nonzero(hand):
-                handed.append(batch.take(np.flatnonzero(hand)))
-                stay = np.flatnonzero(~hand)
-                batch, X, Z, XM, res = (batch.take(stay), X.take(stay, axis=1),
-                                        Z.take(stay, axis=1), XM.take(stay, axis=1),
-                                        res.take(stay))
+            handed.append(_Starts(*_taken(np.flatnonzero(hand), X, signs, order, alpha, prev,
+                                          best_res, best_X, t - gain, t - born)))
+            stay = np.flatnonzero(~hand)
+            if not stay.size:
+                break
+            (X, Z, XM, res, signs, order, alpha, prev, best_res, best_X, gain,
+             born) = _taken(stay, X, Z, XM, res, signs, order, alpha, prev, best_res, best_X,
+                            gain, born)
+            cols = cols[:stay.size]
+            due = _due(gain, born, stall, last_step)
 
-        improved = res < batch.best_res * (1.0 - 1e-6)
-        np.copyto(batch.best_res, res, where=improved)
-        np.copyto(batch.best_X, X, where=improved)
-        np.copyto(batch.idle, 0, where=improved)
+        improved = res < best_res * (1.0 - 1e-6)
+        if np.count_nonzero(improved):
+            np.copyto(best_res, res, where=improved)
+            np.copyto(best_X, X, where=improved)
+            np.copyto(gain, t, where=improved)
 
-        halve = res > batch.prev
-        counts.halvings += int(np.count_nonzero(halve))
-        np.multiply(batch.alpha, 0.5, out=batch.alpha, where=halve)
-        batch.prev = res
-        Y = batch.alpha * XM
+        halve = res > prev
+        halved = np.count_nonzero(halve)
+        if halved:
+            halvings += halved
+            np.multiply(alpha, 0.5, out=alpha, where=halve)
+        prev = res
+        # alpha * XM + Z in XM's buffer, then its power in place; the scale
+        # is the largest magnitude, taken before the signs go back on
+        Y = np.multiply(XM, alpha, out=XM)
         Y += Z
         if m % 2 == 0:
-            Xn = _power(Y, power)
+            Xn = np.abs(Y)
+            Xn **= power
+            scale = np.maximum.reduce(Xn, axis=0)
+            np.copysign(Xn, Y, out=Xn)
         else:
             # even component powers lose the sign; keep the current pattern,
-            # a zero component counting as positive
-            Xn = np.copysign(np.maximum(Y, 0.0) ** power, X + 0.0)
-        scale = np.abs(Xn).max(axis=0)
+            # a zero component counting as positive.  A -0.0 magnitude can
+            # only change the bits of a zero scale, which retires its start.
+            Xn = np.maximum(Y, 0.0, out=Y)
+            Xn **= power
+            scale = np.maximum.reduce(Xn, axis=0)
+            np.copysign(Xn, X + 0.0, out=Xn)
 
-        converged = res <= 0.9 * tol
-        sound = np.isfinite(scale) & (scale > 0.0)
-        retire = converged | ~sound | (batch.idle > _STALL) | (batch.age >= _MAX_STEPS - 1)
-        if np.count_nonzero(retire):
-            done = int(np.count_nonzero(converged))
-            degenerate = int(np.count_nonzero(~sound & ~converged))
-            counts.converged += done
-            counts.degenerate += degenerate
-            counts.stalled += int(np.count_nonzero(retire)) - done - degenerate
-            for i in np.nonzero(retire & (batch.best_res <= tol))[0]:
-                finished[batch.order[i]] = batch.best_X[:, i]
-            keep = np.flatnonzero(~retire)
-            batch, Xn, scale = batch.take(keep), Xn.take(keep, axis=1), scale.take(keep)
-        batch.X = _scaled_columns(Xn, scale)
-        batch.idle += 1
-        batch.age += 1
+        # a zero, infinite or NaN scale fails this test; a sum of squares
+        # past DBL_MAX only sends its pass to the full test
+        if (low <= bar or t >= due or np.count_nonzero(scale) < scale.size
+                or not scale.dot(scale) < math.inf):
+            converged = res <= bar
+            sound = np.isfinite(scale) & (scale > 0.0)
+            retire = converged | ~sound | (gain < t - stall) | (born <= t - last_step)
+            if np.count_nonzero(retire):
+                done = int(np.count_nonzero(converged))
+                degenerate = int(np.count_nonzero(~sound & ~converged))
+                counts.converged += done
+                counts.degenerate += degenerate
+                counts.stalled += int(np.count_nonzero(retire)) - done - degenerate
+                for i in np.nonzero(retire & (best_res <= tol))[0]:
+                    finished[order[i]] = best_X[:, i]
+                keep = np.flatnonzero(~retire)
+                (Xn, scale, signs, order, alpha, prev, best_res, best_X, gain,
+                 born) = _taken(keep, Xn, scale, signs, order, alpha, prev, best_res, best_X,
+                                gain, born)
+                cols = cols[:keep.size]
+            due = _due(gain, born, stall, last_step)
+        # divide each column by its scale, its first nonzero component made
+        # positive, as _scaled_columns does
+        first = Xn[(Xn != 0.0).argmax(axis=0), cols]
+        X = np.divide(Xn, np.copysign(scale, first), out=Xn)
+    counts.passes = t
+    counts.halvings += int(halvings)
     return finished, _Starts(*(np.concatenate(v, axis=-1)
                                for v in zip(*(vars(h).values() for h in handed))))
+
+
+def _taken(idx, *arrays):
+    """Each of ``arrays`` at the indices ``idx`` of its last axis."""
+    return [v.take(idx, axis=-1) for v in arrays]
+
+
+def _due(gain, born, stall, last_step):
+    """The first pass at which a start with last gain ``gain`` and birth
+    pass ``born`` can exceed ``stall`` idle passes or reach ``last_step``
+    passes; 0 for no starts."""
+    if not gain.size:
+        return 0
+    return min(int(np.minimum.reduce(gain)) + stall + 1, int(np.minimum.reduce(born)) + last_step)
 
 
 def _jacobian_rows(rows, m):

@@ -111,16 +111,39 @@ class TestTransforms:
             assert not P.array.flags.writeable
             assert not np.shares_memory(P.array, A.array)
 
-    def test_a_plus_past_the_float_range_is_a_precondition_error(self):
+    @pytest.mark.parametrize("A", [
+        matrix([[-1.5e308, 1e308], [0, 1]]),
+        # the second row's diagonal leaves the range
+        matrix([[1, 0], [1e308, -1.5e308]]),
+        # an off-diagonal entry of the first row leaves the range
+        bt.Tensor(3, 2, [1, -1.5e308, 1e308, 0, 0, 0, 0, 1]),
+    ], ids=["first-diagonal", "second-diagonal", "off-diagonal"])
+    def test_a_plus_past_the_float_range_is_a_precondition_error(self, A):
         # a valid input whose shifted row leaves the float range: no
         # overflow warning and no complaint about the input
-        A = matrix([[-1.5e308, 1e308], [0, 1]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(bt.PreconditionError, match="a_plus transform exceeds"):
                 bt.a_plus(A)
             assert bt.a_plus(matrix([[1.5e308, 1e308], [0, 1]])) == matrix(
                 [[1.5e308 - 1e308, 0], [0, 1]])
+
+    def test_a_plus_raises_exactly_where_an_entry_leaves_the_float_range(self):
+        # the per-row minimum decides what a finiteness pass over the whole
+        # shifted tensor decides, on rows at the edge of the range too
+        rng = np.random.default_rng(5)
+        for m, n in [(2, 3), (3, 3), (4, 2)]:
+            for _ in range(40):
+                arr = random_tensor(rng, m, n).array
+                arr = arr / np.abs(arr).max() * 10.0 ** rng.uniform(307.5, 308.25)
+                A = bt.Tensor.from_array(arr)
+                with np.errstate(over="ignore"):
+                    shifted = arr - bt.row_stats(A).shift.reshape((n,) + (1,) * (m - 1))
+                if np.isfinite(shifted).all():
+                    assert bt.a_plus(A).array.tobytes() == shifted.tobytes()
+                else:
+                    with pytest.raises(bt.PreconditionError):
+                        bt.a_plus(A)
 
     def test_r_plus_of_a_negative_zero_row_is_positive_zero(self):
         # row 1's largest off-diagonal entry is -0.0; its r_plus is +0.0, so

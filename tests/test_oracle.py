@@ -585,3 +585,188 @@ class TestSearchReport:
         assert bt.residual(A, 0.0, np.ones(8)) == 0.0
         with pytest.raises(bt.PreconditionError, match="float range"):
             bt.eigen_search(A, restarts=8)
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point pass against a plain one over the _Starts fields
+
+def _reference_power(X, p):
+    Y = np.abs(X) ** p
+    return Y if p % 2 == 0 else np.copysign(Y, X)
+
+
+def _reference_sweep(plan, m, batch, tol, handoff, counts):
+    """The fixed-point pass as a loop over ``_Starts`` fields, with an idle
+    and an age counter per start and every limit tested on every pass;
+    verbatim apart from the module prefixes."""
+    S, steps = plan
+    power = 1.0 / (m - 1)
+    finished, handed = {}, [batch.take([])]
+    while batch.order.size:
+        counts.passes += 1
+        X = batch.X
+        # multiplying by -1 is exact: a -1 column sees the product with -A
+        Z = S @ oracle._monomials(X, steps)
+        Z *= batch.signs
+        XM = _reference_power(X, m - 1)
+        lam = (Z * XM).sum(axis=0) / (XM * XM).sum(axis=0)
+        res = np.abs(Z - lam * XM).max(axis=0)
+
+        if handoff:
+            hand = res < handoff
+            if np.count_nonzero(hand):
+                handed.append(batch.take(np.flatnonzero(hand)))
+                stay = np.flatnonzero(~hand)
+                batch, X, Z, XM, res = (batch.take(stay), X.take(stay, axis=1),
+                                        Z.take(stay, axis=1), XM.take(stay, axis=1),
+                                        res.take(stay))
+
+        improved = res < batch.best_res * (1.0 - 1e-6)
+        np.copyto(batch.best_res, res, where=improved)
+        np.copyto(batch.best_X, X, where=improved)
+        np.copyto(batch.idle, 0, where=improved)
+
+        halve = res > batch.prev
+        counts.halvings += int(np.count_nonzero(halve))
+        np.multiply(batch.alpha, 0.5, out=batch.alpha, where=halve)
+        batch.prev = res
+        Y = batch.alpha * XM
+        Y += Z
+        if m % 2 == 0:
+            Xn = _reference_power(Y, power)
+        else:
+            # even component powers lose the sign; keep the current pattern,
+            # a zero component counting as positive
+            Xn = np.copysign(np.maximum(Y, 0.0) ** power, X + 0.0)
+        scale = np.abs(Xn).max(axis=0)
+
+        converged = res <= 0.9 * tol
+        sound = np.isfinite(scale) & (scale > 0.0)
+        retire = (converged | ~sound | (batch.idle > oracle._STALL)
+                  | (batch.age >= oracle._MAX_STEPS - 1))
+        if np.count_nonzero(retire):
+            done = int(np.count_nonzero(converged))
+            degenerate = int(np.count_nonzero(~sound & ~converged))
+            counts.converged += done
+            counts.degenerate += degenerate
+            counts.stalled += int(np.count_nonzero(retire)) - done - degenerate
+            for i in np.nonzero(retire & (batch.best_res <= tol))[0]:
+                finished[batch.order[i]] = batch.best_X[:, i]
+            keep = np.flatnonzero(~retire)
+            batch, Xn, scale = batch.take(keep), Xn.take(keep, axis=1), scale.take(keep)
+        batch.X = oracle._scaled_columns(Xn, scale)
+        batch.idle += 1
+        batch.age += 1
+    return finished, oracle._Starts(*(np.concatenate(v, axis=-1)
+                                      for v in zip(*(vars(h).values() for h in handed))))
+
+
+def _fresh_batch(rows, starts):
+    """The batch ``_batched_fixed_point`` builds: each column of ``starts``
+    once on A and once on -A."""
+    X = np.hstack([starts, starts])
+    k = X.shape[1]
+    return oracle._Starts(X=X.copy(), signs=np.repeat([1.0, -1.0], k // 2),
+                          order=np.arange(k), alpha=np.full(k, oracle._spectral_bound(rows)),
+                          prev=np.full(k, np.inf), best_res=np.full(k, np.inf),
+                          best_X=X.copy(), idle=np.zeros(k, dtype=int),
+                          age=np.zeros(k, dtype=int))
+
+
+def _both_sweeps(plan, m, batch, tol, handoff, counts):
+    """``(finished, handed, counts)`` of the pass under test and of the
+    reference, each run on its own copy of ``batch`` and ``counts``."""
+    out = []
+    for sweep in (oracle._sweep, _reference_sweep):
+        own = oracle._Starts(*(v.copy() for v in vars(batch).values()))
+        tally = oracle.SearchCounts(**vars(counts))
+        with np.errstate(all="ignore"):
+            finished, handed = sweep(plan, m, own, tol, handoff, tally)
+        out.append((finished, handed, tally))
+    return out
+
+
+def _assert_same_sweep(got, want):
+    (f1, h1, c1), (f2, h2, c2) = got, want
+    assert list(f1) == list(f2)
+    assert all(type(a) is type(b) for a, b in zip(f1, f2))
+    assert all(f1[i].tobytes() == f2[i].tobytes() for i in f1)
+    for name, a in vars(h1).items():
+        b = getattr(h2, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    # repr also compares the types of the counts
+    assert repr(c1) == repr(c2)
+
+
+class TestSweepMatchesReference:
+    CASES = {"z-3-4": lambda rng: random_z(rng, 3, 4),
+             "symmetric-4-3": lambda rng: random_symmetric(rng, 4, 3),
+             "mixed-3-3": lambda rng: random_mixed_diag(rng, 3, 3),
+             "b-4-4": lambda rng: random_b(rng, 4, 4),
+             "matrix-2-4": lambda rng: random_tensor(rng, 2, 4),
+             "tensor-5-3": lambda rng: random_tensor(rng, 5, 3)}
+
+    @pytest.mark.parametrize("limits", [None, (7, 60)], ids=["default", "short"])
+    @pytest.mark.parametrize("tol", [1e-8, 2e-3, 1e-2])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_first_and_resumed_sweeps_are_bitwise_the_reference(self, monkeypatch, case,
+                                                                 tol, limits):
+        if limits:
+            monkeypatch.setattr(oracle, "_STALL", limits[0])
+            monkeypatch.setattr(oracle, "_MAX_STEPS", limits[1])
+        rng = np.random.default_rng(91)
+        A = self.CASES[case](rng)
+        n, m = A.dim, A.order
+        rows = A.array.reshape(n, -1)
+        plan = oracle._monomial_plan(rows, m)
+        starts = oracle._canonical_rows(rng.standard_normal((12, n))).T
+        first = _both_sweeps(plan, m, _fresh_batch(rows, starts), tol, oracle._HANDOFF,
+                             oracle.SearchCounts())
+        _assert_same_sweep(*first)
+        # the hand-off record resumed with the handoff off, its clocks and
+        # the pass count carried over
+        _, handed, counts = first[0]
+        _assert_same_sweep(*_both_sweeps(plan, m, handed, tol, 0.0, counts))
+
+    def test_outcomes_cover_every_kind_of_retirement(self):
+        # the cases above reach each branch of the pass at least once
+        seen = oracle.SearchCounts()
+        for case in self.CASES.values():
+            rng = np.random.default_rng(91)
+            A = case(rng)
+            n, m = A.dim, A.order
+            rows = A.array.reshape(n, -1)
+            starts = oracle._canonical_rows(rng.standard_normal((12, n))).T
+            for tol in (1e-8, 1e-2):
+                _, handed = oracle._sweep(oracle._monomial_plan(rows, m), m,
+                                          _fresh_batch(rows, starts), tol, oracle._HANDOFF, seen)
+                seen.handed_off += handed.order.size
+        assert seen.handed_off and seen.converged and seen.stalled and seen.degenerate
+
+    def test_nan_defects_and_infinite_scales(self):
+        # on (0, 1, 1) the eigenvalue estimate overflows and 0 * inf makes the
+        # defect NaN, and on A its next iterate overflows; e1 is an exact
+        # eigenvector, whose hand-off the NaN defect must not hide
+        A = bt.Tensor.from_array(np.diag([1e308, 1.5e308, 1.5e308])[:, :, None]
+                                 * np.eye(3)[:, None, :])
+        rows = A.array.reshape(3, -1)
+        plan = oracle._monomial_plan(rows, 3)
+        pair = _fresh_batch(rows, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]))
+        # (0, 1, 1) alone on A: nothing else sends its pass to the full test
+        alone = pair.take([1])
+        for batch, handed, passes in ((pair, [0, 2], None), (alone, [], 1)):
+            got, want = _both_sweeps(plan, 3, batch, 1e-8, oracle._HANDOFF,
+                                     oracle.SearchCounts())
+            _assert_same_sweep(got, want)
+            assert got[1].order.tolist() == handed and got[2].degenerate
+            assert passes in (None, got[2].passes)
+
+    def test_search_with_resumed_starts_is_bitwise_the_reference(self, monkeypatch):
+        L = bt.laplacian_tensor(random_hypergraph(np.random.default_rng(74), 6, 3))
+        pairs, counts = bt.search_report(L, restarts=64, seed=0)
+        assert counts.resumed
+        monkeypatch.setattr(oracle, "_sweep", _reference_sweep)
+        want_pairs, want_counts = bt.search_report(L, restarts=64, seed=0)
+        assert repr(counts) == repr(want_counts)
+        assert ([(p.lam, p.x.tobytes(), p.residual) for p in pairs]
+                == [(p.lam, p.x.tobytes(), p.residual) for p in want_pairs])
