@@ -111,22 +111,28 @@ class TestTransforms:
             assert not P.array.flags.writeable
             assert not np.shares_memory(P.array, A.array)
 
-    @pytest.mark.parametrize("A", [
-        matrix([[-1.5e308, 1e308], [0, 1]]),
-        # the second row's diagonal leaves the range
-        matrix([[1, 0], [1e308, -1.5e308]]),
-        # an off-diagonal entry of the first row leaves the range
-        bt.Tensor(3, 2, [1, -1.5e308, 1e308, 0, 0, 0, 0, 1]),
-    ], ids=["first-diagonal", "second-diagonal", "off-diagonal"])
-    def test_a_plus_past_the_float_range_is_a_precondition_error(self, A):
+    def test_a_plus_past_the_float_range_is_a_precondition_error(self):
         # a valid input whose shifted row leaves the float range: no
         # overflow warning and no complaint about the input
+        A = matrix([[-1.5e308, 1e308], [0, 1]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(bt.PreconditionError, match="a_plus transform exceeds"):
                 bt.a_plus(A)
             assert bt.a_plus(matrix([[1.5e308, 1e308], [0, 1]])) == matrix(
                 [[1.5e308 - 1e308, 0], [0, 1]])
+
+    @pytest.mark.parametrize("A", [
+        # the second row's diagonal leaves the range
+        matrix([[1, 0], [1e308, -1.5e308]]),
+        # an off-diagonal entry of the first row leaves the range
+        bt.Tensor(3, 2, [1, -1.5e308, 1e308, 0, 0, 0, 0, 1]),
+    ], ids=["second-row-diagonal", "off-diagonal"])
+    def test_a_plus_past_the_float_range_from_any_entry(self, A):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(bt.PreconditionError, match="a_plus transform exceeds"):
+                bt.a_plus(A)
 
     def test_a_plus_raises_exactly_where_an_entry_leaves_the_float_range(self):
         # the per-row minimum decides what a finiteness pass over the whole

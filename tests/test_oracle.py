@@ -596,9 +596,9 @@ def _reference_power(X, p):
 
 
 def _reference_sweep(plan, m, batch, tol, handoff, counts):
-    """The fixed-point pass as a loop over ``_Starts`` fields, with an idle
-    and an age counter per start and every limit tested on every pass;
-    verbatim apart from the module prefixes."""
+    """The fixed-point pass in its plain form: a loop over the ``_Starts``
+    fields, with an idle and an age counter per start and every limit
+    tested on every pass.  ``oracle._sweep`` must match it bitwise."""
     S, steps = plan
     power = 1.0 / (m - 1)
     finished, handed = {}, [batch.take([])]
