@@ -463,9 +463,11 @@ def principal_subtensor(A: Tensor, members) -> Tensor:
 def is_symmetric(A: Tensor) -> bool:
     """True when the entries are invariant under every index permutation.
 
-    The comparison is exact, so only the m-1 adjacent axis swaps are
-    checked: they generate every permutation.
+    The comparison is exact, so only two permutations of the axes are
+    checked: the swap of the first two and the cyclic shift of all of
+    them, which generate every permutation (for a matrix they are the
+    same, the transpose).
     """
     arr = A.array
-    return all(np.array_equal(arr, np.swapaxes(arr, k, k + 1))
-               for k in range(A.order - 1))
+    return (np.array_equal(arr, np.swapaxes(arr, 0, 1))
+            and (A.order == 2 or np.array_equal(arr, np.moveaxis(arr, 0, -1))))

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor, _as_int, contract
+from .core import DEFAULT_ENTRY_CAP, Tensor, _as_int, contract
 from .errors import InputError, PreconditionError
 
 _COEFF_CUTOFF = 1e-12
@@ -380,13 +380,29 @@ class SearchCounts:
 def search_report(A: Tensor, restarts: int = 64, seed: int = 0,
                   tol: float = 1e-8) -> tuple[list[EigenPair], SearchCounts]:
     """:func:`eigen_search` together with the :class:`SearchCounts` of the
-    search; the pairs are the same."""
+    search; the pairs are the same.
+
+    Many starts end on bitwise the same vector.  Lambda is computed once
+    per distinct vector, and :func:`_verified` checks each bitwise-distinct
+    candidate once, its repeats sharing its :class:`EigenPair`, so the
+    pairs and counts are those of one check per start.
+
+    Raises :class:`InputError`, before anything is allocated, where
+    ``restarts`` would make the widest batch array, the C(n+m-2, m-1)
+    distinct monomials of each of the 2 * ``restarts`` starts, hold more
+    than ``DEFAULT_ENTRY_CAP`` entries."""
     if _as_int(restarts, "restarts") < 1:
         raise InputError(f"restarts must be a positive integer, got {restarts!r}")
     if _as_int(seed, "seed") < 0:
         raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
     _check_tol(tol)
     n, m = A.dim, A.order
+    # the widest batch array holds each distinct monomial of every start
+    most = DEFAULT_ENTRY_CAP // (2 * math.comb(n + m - 2, m - 1))
+    if restarts > most:
+        raise InputError(f"restarts must be at most {most} for order {m}, dim {n}, so that "
+                         f"the search's C(n+m-2, m-1) x 2*restarts monomial batch stays "
+                         f"within {DEFAULT_ENTRY_CAP} entries; got {restarts}")
     rows = A.array.reshape(n, -1)
     alpha0 = _spectral_bound(rows)
 
@@ -399,11 +415,15 @@ def search_report(A: Tensor, restarts: int = 64, seed: int = 0,
     signs = np.repeat([1.0, -1.0], restarts)
 
     counts = SearchCounts()
-    candidates = []
+    # starts that reached the same vector share its lambda, bit for bit
+    lams, candidates = {}, []
     for x in _batched_fixed_point(rows, signs, m, np.hstack([starts, starts]),
                                   alpha0, tol, counts):
-        xm = x ** (m - 1)
-        candidates.append((float(contract(A, x) @ xm / (xm @ xm)) + 0.0, x))
+        key = x.tobytes()
+        if key not in lams:
+            xm = x ** (m - 1)
+            lams[key] = float(contract(A, x) @ xm / (xm @ xm)) + 0.0
+        candidates.append((lams[key], x))
     pairs, counts.starts_per_pair = _verified(A, candidates, tol)
     counts.pairs_found = sum(counts.starts_per_pair)
     counts.pairs = len(pairs)
@@ -414,14 +434,25 @@ def _verified(A, candidates, tol):
     """Re-verify the (lambda, x) ``candidates`` through :func:`residual` and
     pass those within ``tol``, each with a read-only copy of x, to
     :func:`_dedupe_sort`, whose result is returned.  The candidates' order
-    decides which of two pairs with tied sort keys is kept."""
-    pairs = []
+    decides which of two pairs with tied sort keys is kept.
+
+    Each bitwise-distinct candidate, keyed on the bits of lambda and of x
+    (so 0.0 and -0.0 differ), is verified once; its repeats pass on the
+    same :class:`EigenPair`, or are dropped with it, so the dedupe sees
+    the same sequence of values as with one check per candidate."""
+    pairs, seen = [], {}
     for lam, x in candidates:
-        res = residual(A, lam, x)
-        if res <= tol:
-            x = x.copy()
-            x.setflags(write=False)
-            pairs.append(EigenPair(lam, x, res))
+        key = (float.hex(lam), x.tobytes())
+        if key not in seen:
+            res = residual(A, lam, x)
+            if res <= tol:
+                x = x.copy()
+                x.setflags(write=False)
+                seen[key] = EigenPair(lam, x, res)
+            else:
+                seen[key] = None
+        if seen[key] is not None:
+            pairs.append(seen[key])
     return _dedupe_sort(pairs)
 
 
@@ -590,6 +621,12 @@ def _sweep(plan, m, batch, tol, handoff, counts):
     ``_MAX_STEPS`` limits are tested only from pass ``due`` on, the
     earliest pass at which some start could reach one of them, which is
     recomputed after each test and each compaction."""
+    # the numpy callables of every pass, looked up once per sweep; their
+    # reductions take the axis positionally, which skips a keyword parse
+    add_reduce, max_reduce, fmin_reduce = np.add.reduce, np.maximum.reduce, np.fmin.reduce
+    multiply, subtract, divide = np.multiply, np.subtract, np.divide
+    absolute, maximum, copysign, count_nonzero = (np.absolute, np.maximum, np.copysign,
+                                                  np.count_nonzero)
     S, steps = plan
     power = 1.0 / (m - 1)
     bar = 0.9 * tol
@@ -610,14 +647,14 @@ def _sweep(plan, m, batch, tol, handoff, counts):
         Z *= signs
         XM = _power(X, m - 1)
         T = Z * XM
-        lam = np.add.reduce(T, axis=0)
-        np.multiply(XM, XM, out=T)
-        lam /= np.add.reduce(T, axis=0)
-        np.multiply(XM, lam, out=T)
-        np.subtract(Z, T, out=T)
-        res = np.maximum.reduce(np.abs(T, out=T), axis=0)
+        lam = add_reduce(T, 0)
+        multiply(XM, XM, out=T)
+        lam /= add_reduce(T, 0)
+        multiply(XM, lam, out=T)
+        subtract(Z, T, out=T)
+        res = max_reduce(absolute(T, out=T), 0)
         # the smallest defect that is not NaN: no NaN passes either bar
-        low = np.fmin.reduce(res)
+        low = fmin_reduce(res)
 
         if low < handoff:
             hand = res < handoff
@@ -633,48 +670,48 @@ def _sweep(plan, m, batch, tol, handoff, counts):
             due = _due(gain, born, stall, last_step)
 
         improved = res < best_res * (1.0 - 1e-6)
-        if np.count_nonzero(improved):
+        if count_nonzero(improved):
             np.copyto(best_res, res, where=improved)
             np.copyto(best_X, X, where=improved)
             np.copyto(gain, t, where=improved)
 
         halve = res > prev
-        halved = np.count_nonzero(halve)
+        halved = count_nonzero(halve)
         if halved:
             halvings += halved
-            np.multiply(alpha, 0.5, out=alpha, where=halve)
+            multiply(alpha, 0.5, out=alpha, where=halve)
         prev = res
         # alpha * XM + Z in XM's buffer, then its power in place; the scale
         # is the largest magnitude, taken before the signs go back on
-        Y = np.multiply(XM, alpha, out=XM)
+        Y = multiply(XM, alpha, out=XM)
         Y += Z
         if m % 2 == 0:
-            Xn = np.abs(Y)
+            Xn = absolute(Y)
             Xn **= power
-            scale = np.maximum.reduce(Xn, axis=0)
-            np.copysign(Xn, Y, out=Xn)
+            scale = max_reduce(Xn, 0)
+            copysign(Xn, Y, out=Xn)
         else:
             # even component powers lose the sign; keep the current pattern,
             # a zero component counting as positive.  A -0.0 magnitude can
             # only change the bits of a zero scale, which retires its start.
-            Xn = np.maximum(Y, 0.0, out=Y)
+            Xn = maximum(Y, 0.0, out=Y)
             Xn **= power
-            scale = np.maximum.reduce(Xn, axis=0)
-            np.copysign(Xn, X + 0.0, out=Xn)
+            scale = max_reduce(Xn, 0)
+            copysign(Xn, X + 0.0, out=Xn)
 
         # a zero, infinite or NaN scale fails this test; a sum of squares
         # past DBL_MAX only sends its pass to the full test
-        if (low <= bar or t >= due or np.count_nonzero(scale) < scale.size
+        if (low <= bar or t >= due or count_nonzero(scale) < scale.size
                 or not scale.dot(scale) < math.inf):
             converged = res <= bar
             sound = np.isfinite(scale) & (scale > 0.0)
             retire = converged | ~sound | (gain < t - stall) | (born <= t - last_step)
-            if np.count_nonzero(retire):
-                done = int(np.count_nonzero(converged))
-                degenerate = int(np.count_nonzero(~sound & ~converged))
+            if count_nonzero(retire):
+                done = int(count_nonzero(converged))
+                degenerate = int(count_nonzero(~sound & ~converged))
                 counts.converged += done
                 counts.degenerate += degenerate
-                counts.stalled += int(np.count_nonzero(retire)) - done - degenerate
+                counts.stalled += int(count_nonzero(retire)) - done - degenerate
                 for i in np.nonzero(retire & (best_res <= tol))[0]:
                     finished[order[i]] = best_X[:, i]
                 keep = np.flatnonzero(~retire)
@@ -686,7 +723,7 @@ def _sweep(plan, m, batch, tol, handoff, counts):
         # divide each column by its scale, its first nonzero component made
         # positive, as _scaled_columns does
         first = Xn[(Xn != 0.0).argmax(axis=0), cols]
-        X = np.divide(Xn, np.copysign(scale, first), out=Xn)
+        X = divide(Xn, copysign(scale, first), out=Xn)
     counts.passes = t
     counts.halvings += int(halvings)
     return finished, _Starts(*(np.concatenate(v, axis=-1)

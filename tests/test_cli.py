@@ -238,6 +238,22 @@ class TestFailurePaths:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "input"
 
+    @pytest.mark.parametrize("restarts", ["1000000000000", "8333334"])
+    def test_oracle_restarts_past_the_batch_cap_exit_2(self, capsys, monkeypatch, tmp_path,
+                                                       restarts):
+        # refused before the start batch is drawn, with the cap named
+        def no_starts(seed):
+            raise AssertionError("the start batch was allocated")
+
+        monkeypatch.setattr(np.random, "default_rng", no_starts)
+        path = tmp_path / "ones33.json"
+        path.write_text(json.dumps(bt.Tensor.ones(3, 3).to_json_dict()))
+        code, out, err = run_main(capsys, ["oracle", "--restarts", restarts, str(path)])
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "input" and "100000000 entries" in error["detail"]
+
     @pytest.mark.parametrize("error, kind, status", [
         (bt.InputError("x"), "input", 2),
         (bt.ClassViolationError("x"), "class-violation", 3),

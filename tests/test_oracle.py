@@ -316,6 +316,29 @@ class TestEigenSearch:
         with pytest.raises(bt.InputError):
             bt.eigen_search(bt.Tensor.ones(3, 2), restarts=0)
 
+    @pytest.mark.parametrize("restarts", [10**12, 8_333_334])
+    def test_restarts_past_the_batch_cap_are_refused_before_allocating(self, monkeypatch,
+                                                                       restarts):
+        # at order 3, dim 3 the batch holds C(4, 2) = 6 monomials of each of
+        # 2 * restarts starts: 8,333,333 restarts fill 10**8 entries
+        def no_starts(seed):
+            raise AssertionError("the start batch was allocated")
+
+        monkeypatch.setattr(np.random, "default_rng", no_starts)
+        with pytest.raises(bt.InputError, match="at most 8333333 .* 100000000 entries"):
+            bt.eigen_search(bt.Tensor.ones(3, 3), restarts=restarts)
+
+    def test_restarts_at_the_batch_cap_pass_the_check(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(seed):
+            raise Reached
+
+        monkeypatch.setattr(np.random, "default_rng", reached)
+        with pytest.raises(Reached):
+            bt.eigen_search(bt.Tensor.ones(3, 3), restarts=8_333_333)
+
     @pytest.mark.parametrize("kwargs", [{"restarts": True}, {"seed": -1}, {"seed": 1.5},
                                         {"seed": False}])
     def test_integer_argument_validation(self, kwargs):
@@ -585,6 +608,120 @@ class TestSearchReport:
         assert bt.residual(A, 0.0, np.ones(8)) == 0.0
         with pytest.raises(bt.PreconditionError, match="float range"):
             bt.eigen_search(A, restarts=8)
+
+
+# ---------------------------------------------------------------------------
+# one residual check per bitwise-distinct candidate
+
+def _reference_verified(A, candidates, tol):
+    """One :func:`residual` check and one read-only copy per candidate,
+    repeats included.  ``oracle._verified`` must return what it returns."""
+    pairs = []
+    for lam, x in candidates:
+        res = oracle.residual(A, lam, x)
+        if res <= tol:
+            x = x.copy()
+            x.setflags(write=False)
+            pairs.append(oracle.EigenPair(lam, x, res))
+    return oracle._dedupe_sort(pairs)
+
+
+def _bits(pairs):
+    return [(p.lam.hex(), p.x.tobytes(), p.residual.hex()) for p in pairs]
+
+
+def _key(lam, x):
+    return float.hex(lam), np.asarray(x).tobytes()
+
+
+def _repeat_rich_searches():
+    rng = np.random.default_rng(74)
+    return {"laplacian-6-3": bt.laplacian_tensor(random_hypergraph(rng, 6, 3)),
+            "ones-4-3": bt.Tensor.ones(4, 3),
+            "z-3-3": random_z(np.random.default_rng(75), 3, 3)}
+
+
+class TestVerifiedOncePerDistinctCandidate:
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Run a solver with ``_verified`` and ``residual`` recorded: the
+        candidates each ``_verified`` call got, the (lambda, x) bits of each
+        residual check and the pairs each ``_dedupe_sort`` call got."""
+        seen = {"candidates": [], "checked": [], "deduped": []}
+        verified, residual, dedupe = oracle._verified, oracle.residual, oracle._dedupe_sort
+
+        def recording_verified(A, candidates, tol):
+            seen["candidates"].append(list(candidates))
+            return verified(A, seen["candidates"][-1], tol)
+
+        def counting_residual(A, lam, x):
+            seen["checked"].append(_key(lam, x))
+            return residual(A, lam, x)
+
+        def recording_dedupe(pairs):
+            seen["deduped"].append(list(pairs))
+            return dedupe(seen["deduped"][-1])
+
+        monkeypatch.setattr(oracle, "_verified", recording_verified)
+        monkeypatch.setattr(oracle, "residual", counting_residual)
+        monkeypatch.setattr(oracle, "_dedupe_sort", recording_dedupe)
+        return seen
+
+    def _check(self, A, seen, pairs, tol, starts_per_pair=None):
+        [candidates] = seen["candidates"]
+        keys = [_key(lam, x) for lam, x in candidates]
+        # one residual check per distinct (lambda, x bits), in first-seen order
+        assert seen["checked"] == list(dict.fromkeys(keys))
+        # repeats pass the same EigenPair on
+        [given] = seen["deduped"]
+        for p in given:
+            assert p is next(q for q in given if _key(q.lam, q.x) == _key(p.lam, p.x))
+        want_pairs, want_merged = _reference_verified(A, candidates, tol)
+        assert _bits(pairs) == _bits(want_pairs)
+        if starts_per_pair is not None:
+            assert starts_per_pair == want_merged
+        return len(keys) - len(set(keys))
+
+    @pytest.mark.parametrize("case", list(_repeat_rich_searches()))
+    def test_searches_rich_in_repeats_match_the_reference(self, recorded, case):
+        A = _repeat_rich_searches()[case]
+        pairs, counts = bt.search_report(A, restarts=64, seed=0)
+        repeats = self._check(A, recorded, pairs, 1e-8, counts.starts_per_pair)
+        assert repeats > 0
+        assert counts.pairs_found == len(recorded["deduped"][0])
+        # each candidate's lambda is the one its own vector gives
+        m = A.order
+        for lam, x in recorded["candidates"][0]:
+            xm = x ** (m - 1)
+            assert lam.hex() == (float(bt.contract(A, x) @ xm / (xm @ xm)) + 0.0).hex()
+
+    def test_dim2_candidates_match_the_reference(self, recorded):
+        # the identity's continuum gives three representatives and the
+        # (0, 1) corner a fourth candidate
+        rng = np.random.default_rng(78)
+        tensors = [bt.Tensor.identity(4, 2), bt.Tensor.ones(3, 2)]
+        tensors += [random_tensor(rng, m, 2) for m in (2, 3, 4, 5)]
+        for A in tensors:
+            for found in recorded.values():
+                found.clear()
+            self._check(A, recorded, bt.eigenpairs_n2(A), 1e-8)
+
+    def test_signed_zeros_are_distinct_candidates(self, recorded):
+        # 0.0 == -0.0, but their bits differ, in lambda and in x alike
+        A = bt.Tensor.from_array(np.diag([0.0, 1.0]))
+        x, y = np.array([1.0, 0.0]), np.array([1.0, -0.0])
+        candidates = [(0.0, x), (-0.0, x), (0.0, y), (0.0, x.copy()), (-0.0, y)]
+        pairs, merged = oracle._verified(A, candidates, 1e-8)
+        assert recorded["checked"] == [_key(lam, v) for lam, v in candidates[:3]
+                                       + candidates[4:]]
+        assert _bits(pairs) == _bits(_reference_verified(A, candidates, 1e-8)[0])
+        assert merged == (5,)
+
+    def test_rejected_candidates_are_checked_once(self, recorded):
+        A = bt.Tensor.from_array(np.diag([2.0, 1.0]))
+        x = np.array([1.0, 1.0])
+        assert oracle._verified(A, [(1.0, x)] * 3, 1e-8) == ([], ())
+        assert recorded["checked"] == [_key(1.0, x)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tensor storage, contraction, row statistics, and slicing."""
 
+import itertools
 import math
 
 import numpy as np
@@ -486,6 +487,24 @@ class TestSymmetry:
         assert not np.array_equal(cyclic, np.swapaxes(cyclic, 0, 1))
         for arr in (klein, cyclic):
             assert not bt.is_symmetric(bt.Tensor.from_array(arr))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_agrees_with_every_permutation(self, m, n):
+        # exactly symmetric, then changed in one entry at a time: a change
+        # on the diagonal keeps the symmetry, any other breaks it
+        def brute_force(arr):
+            return all(np.array_equal(arr, np.transpose(arr, p))
+                       for p in itertools.permutations(range(m)))
+
+        rng = np.random.default_rng(13)
+        base = rng.integers(-4, 5, size=(n,) * m).astype(float)
+        sym = sum(np.transpose(base, p) for p in itertools.permutations(range(m)))
+        assert bt.is_symmetric(bt.Tensor.from_array(sym)) and brute_force(sym)
+        for index in np.ndindex(sym.shape):
+            arr = sym.copy()
+            arr[index] += 1.0
+            assert bt.is_symmetric(bt.Tensor.from_array(arr)) == brute_force(arr), index
 
 
 def split_parts(dec):
