@@ -625,8 +625,8 @@ def _sweep(plan, m, batch, tol, handoff, counts):
     # reductions take the axis positionally, which skips a keyword parse
     add_reduce, max_reduce, fmin_reduce = np.add.reduce, np.maximum.reduce, np.fmin.reduce
     multiply, subtract, divide = np.multiply, np.subtract, np.divide
-    absolute, maximum, copysign, count_nonzero = (np.absolute, np.maximum, np.copysign,
-                                                  np.count_nonzero)
+    absolute, maximum, copysign, sign, count_nonzero = (np.absolute, np.maximum, np.copysign,
+                                                        np.sign, np.count_nonzero)
     S, steps = plan
     power = 1.0 / (m - 1)
     bar = 0.9 * tol
@@ -636,7 +636,10 @@ def _sweep(plan, m, batch, tol, handoff, counts):
     best_res, best_X = batch.best_res, batch.best_X
     t = counts.passes
     gain, born = (t + 1) - batch.idle, (t + 1) - batch.age
-    cols = np.arange(order.size)
+    # the sign of a column's first nonzero component is that of its signs
+    # weighted by 2**-i, as each weight outweighs all those after it; up to
+    # 53 components every partial sum of the dot is exact
+    weights = 0.5 ** np.arange(X.shape[0]) if X.shape[0] <= 53 else None
     due = _due(gain, born, stall, last_step)
     halvings = 0
     while order.size:
@@ -666,7 +669,6 @@ def _sweep(plan, m, batch, tol, handoff, counts):
             (X, Z, XM, res, signs, order, alpha, prev, best_res, best_X, gain,
              born) = _taken(stay, X, Z, XM, res, signs, order, alpha, prev, best_res, best_X,
                             gain, born)
-            cols = cols[:stay.size]
             due = _due(gain, born, stall, last_step)
 
         improved = res < best_res * (1.0 - 1e-6)
@@ -718,11 +720,13 @@ def _sweep(plan, m, batch, tol, handoff, counts):
                 (Xn, scale, signs, order, alpha, prev, best_res, best_X, gain,
                  born) = _taken(keep, Xn, scale, signs, order, alpha, prev, best_res, best_X,
                                 gain, born)
-                cols = cols[:keep.size]
             due = _due(gain, born, stall, last_step)
         # divide each column by its scale, its first nonzero component made
-        # positive, as _scaled_columns does
-        first = Xn[(Xn != 0.0).argmax(axis=0), cols]
+        # positive, as _scaled_columns does; every column left has one
+        if weights is None:
+            first = Xn[(Xn != 0.0).argmax(axis=0), np.arange(Xn.shape[1])]
+        else:
+            first = weights.dot(sign(Xn))
         X = divide(Xn, copysign(scale, first), out=Xn)
     counts.passes = t
     counts.halvings += int(halvings)

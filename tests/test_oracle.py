@@ -907,3 +907,22 @@ class TestSweepMatchesReference:
         assert repr(counts) == repr(want_counts)
         assert ([(p.lam, p.x.tobytes(), p.residual) for p in pairs]
                 == [(p.lam, p.x.tobytes(), p.residual) for p in want_pairs])
+
+
+@pytest.mark.parametrize("n", [53, 54, 60])
+def test_sweeps_past_53_components_are_bitwise_the_reference(monkeypatch, n):
+    # up to 53 components the pass takes each column's first nonzero sign
+    # from its weighted signs, beyond that by argmax; with the first n-2
+    # rows of A zero, half the starts keep their first n-2 components zero
+    monkeypatch.setattr(oracle, "_STALL", 7)
+    monkeypatch.setattr(oracle, "_MAX_STEPS", 60)
+    rng = np.random.default_rng(95)
+    arr = rng.standard_normal((n, n))
+    arr[:n - 2] = 0.0
+    rows = bt.Tensor.from_array(arr).array
+    raw = rng.standard_normal((12, n))
+    raw[::2, :n - 2] = 0.0
+    starts = oracle._canonical_rows(raw).T
+    _assert_same_sweep(*_both_sweeps(oracle._monomial_plan(rows, 2), 2,
+                                     _fresh_batch(rows, starts), 1e-8, oracle._HANDOFF,
+                                     oracle.SearchCounts()))
