@@ -469,5 +469,6 @@ def is_symmetric(A: Tensor) -> bool:
     same, the transpose).
     """
     arr = A.array
-    return (np.array_equal(arr, np.swapaxes(arr, 0, 1))
-            and (A.order == 2 or np.array_equal(arr, np.moveaxis(arr, 0, -1))))
+    shifted = arr.transpose((*range(1, A.order), 0))
+    return (np.array_equal(arr, arr.swapaxes(0, 1))
+            and (A.order == 2 or np.array_equal(arr, shifted)))

@@ -910,7 +910,7 @@ class TestSweepMatchesReference:
 
 
 @pytest.mark.parametrize("n", [53, 54, 60])
-def test_sweeps_past_53_components_are_bitwise_the_reference(monkeypatch, n):
+def test_sweeps_on_either_side_of_53_components_are_bitwise_the_reference(monkeypatch, n):
     # up to 53 components the pass takes each column's first nonzero sign
     # from its weighted signs, beyond that by argmax; with the first n-2
     # rows of A zero, half the starts keep their first n-2 components zero
