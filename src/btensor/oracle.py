@@ -339,7 +339,9 @@ def eigen_search(A: Tensor, restarts: int = 64, seed: int = 0,
     sorted.
 
     Raises :class:`PreconditionError` when the shift bound, 1 plus the
-    largest absolute row sum, exceeds the float range.
+    largest absolute row sum, exceeds the float range, and
+    :class:`InputError` when ``restarts`` exceeds the batch cap of
+    :func:`search_report`.
     """
     return search_report(A, restarts=restarts, seed=seed, tol=tol)[0]
 
