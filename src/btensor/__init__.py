@@ -8,103 +8,49 @@ desk-scale eigenpair oracle.
 
 All operations are pure functions of immutable inputs and are safe to
 call concurrently; results are deterministic for identical arguments.
+
+``import btensor`` loads none of the layer modules.  Each public name
+resolves on first access (PEP 562): the module that defines it is
+imported then, and the name is bound here, so ``btensor.classify`` is
+``btensor.classes.classify``.  A cold ``classify`` thus never compiles
+the oracle, the splits or the intervals.
 """
 
-from .classes import (
-    ClassReport,
-    a_plus,
-    check_f_b,
-    check_f_doubly_b,
-    classify,
-    f_transform,
-    is_b,
-    is_b0,
-    is_doubly_b,
-    is_sdd,
-    is_sddd,
-    is_z,
-)
-from .core import (
-    DEFAULT_ENTRY_CAP,
-    RowStats,
-    Tensor,
-    contract,
-    is_symmetric,
-    polyeval,
-    principal_subtensor,
-    row_stats,
-)
-from .decompose import Decomposition, decompose_b, decompose_doubly_b
-from .eigenloc import (
-    DefinitenessVerdict,
-    Hypergraph,
-    Interval,
-    IntervalUnion,
-    definiteness,
-    intervals_even_symmetric,
-    intervals_gerschgorin,
-    intervals_odd_or_n2,
-    intervals_z,
-    laplacian_bounds,
-    laplacian_tensor,
-)
-from .errors import (
-    BTensorError,
-    ClassViolationError,
-    DegenerateMarginError,
-    InputError,
-    InternalError,
-    PreconditionError,
-)
-from .oracle import EigenPair, SearchCounts, eigen_search, eigenpairs_n2, residual, search_report
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BTensorError",
-    "ClassReport",
-    "ClassViolationError",
-    "DEFAULT_ENTRY_CAP",
-    "Decomposition",
-    "DefinitenessVerdict",
-    "DegenerateMarginError",
-    "EigenPair",
-    "Hypergraph",
-    "InputError",
-    "InternalError",
-    "Interval",
-    "IntervalUnion",
-    "PreconditionError",
-    "RowStats",
-    "SearchCounts",
-    "Tensor",
-    "a_plus",
-    "check_f_b",
-    "check_f_doubly_b",
-    "classify",
-    "contract",
-    "decompose_b",
-    "decompose_doubly_b",
-    "definiteness",
-    "eigen_search",
-    "eigenpairs_n2",
-    "f_transform",
-    "intervals_even_symmetric",
-    "intervals_gerschgorin",
-    "intervals_odd_or_n2",
-    "intervals_z",
-    "is_b",
-    "is_b0",
-    "is_doubly_b",
-    "is_sdd",
-    "is_sddd",
-    "is_symmetric",
-    "is_z",
-    "laplacian_bounds",
-    "laplacian_tensor",
-    "polyeval",
-    "principal_subtensor",
-    "residual",
-    "row_stats",
-    "search_report",
-]
+#: Each public name with the module that defines it.
+_MODULE_OF = (
+    dict.fromkeys(("ClassReport", "a_plus", "check_f_b", "check_f_doubly_b", "classify",
+                   "f_transform", "is_b", "is_b0", "is_doubly_b", "is_sdd", "is_sddd", "is_z"),
+                  "classes")
+    | dict.fromkeys(("DEFAULT_ENTRY_CAP", "RowStats", "Tensor", "contract", "is_symmetric",
+                     "polyeval", "principal_subtensor", "row_stats"), "core")
+    | dict.fromkeys(("Decomposition", "decompose_b", "decompose_doubly_b"), "decompose")
+    | dict.fromkeys(("DefinitenessVerdict", "Hypergraph", "Interval", "IntervalUnion",
+                     "definiteness", "intervals_even_symmetric", "intervals_gerschgorin",
+                     "intervals_odd_or_n2", "intervals_z", "laplacian_bounds",
+                     "laplacian_tensor"), "eigenloc")
+    | dict.fromkeys(("BTensorError", "ClassViolationError", "DegenerateMarginError",
+                     "InputError", "InternalError", "PreconditionError"), "errors")
+    | dict.fromkeys(("EigenPair", "SearchCounts", "eigen_search", "eigenpairs_n2", "residual",
+                     "search_report"), "oracle")
+)
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _MODULE_OF:
+        value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    elif name in _MODULE_OF.values():  # a layer module, as ``btensor.core``
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -39,7 +39,6 @@ from operator import ne
 
 import numpy as np
 
-from . import classes, decompose, eigenloc, oracle
 from .core import Tensor
 from .errors import (
     BTensorError,
@@ -50,12 +49,22 @@ from .errors import (
     PreconditionError,
 )
 
-_INTERVAL_METHODS = {
-    "z": eigenloc.intervals_z,
-    "even-sym": eigenloc.intervals_even_symmetric,
-    "odd-n2": eigenloc.intervals_odd_or_n2,
-    "gerschgorin": eigenloc.intervals_gerschgorin,
-}
+
+class _IntervalMethods(dict):
+    """Each ``intervals --method`` with the name of its eigenloc function.
+    Looking a method up returns that function, importing eigenloc then."""
+
+    def __getitem__(self, method):
+        from . import eigenloc
+        return getattr(eigenloc, dict.__getitem__(self, method))
+
+
+_INTERVAL_METHODS = _IntervalMethods({
+    "z": "intervals_z",
+    "even-sym": "intervals_even_symmetric",
+    "odd-n2": "intervals_odd_or_n2",
+    "gerschgorin": "intervals_gerschgorin",
+})
 
 #: Each error type with its kind on the error line and its exit status; a
 #: subclass comes before its base, so the first match is the most specific.
@@ -119,6 +128,7 @@ def _load_json(path):
 def _run(args):
     payload = _load_json(args.input)
     if args.verb == "laplacian":
+        from . import eigenloc
         graph = eigenloc.Hypergraph.from_json_dict(payload)
         return {
             "tensor": eigenloc.laplacian_tensor(graph).to_json_dict(),
@@ -126,14 +136,17 @@ def _run(args):
         }
     tensor = Tensor.from_json_dict(payload)
     if args.verb == "classify":
+        from . import classes
         return classes.classify(tensor).to_json_dict()
     if args.verb == "decompose":
+        from . import decompose
         if args.method == "b":
             return decompose.decompose_b(tensor).to_json_dict()
         return decompose.decompose_doubly_b(tensor).to_json_dict()
     if args.verb == "intervals":
         return _INTERVAL_METHODS[args.method](tensor).to_json_dict()
     if args.verb == "oracle":
+        from . import oracle
         if tensor.dim == 2:
             pairs = oracle.eigenpairs_n2(tensor, tol=args.tol)
         else:
@@ -141,6 +154,7 @@ def _run(args):
                 tensor, restarts=args.restarts, seed=args.seed, tol=args.tol)
         return [p.to_json_dict() for p in pairs]
     if args.verb == "definiteness":
+        from . import eigenloc
         return eigenloc.definiteness(tensor).to_json_dict()
     raise InputError(f"unknown verb {args.verb!r}")
 

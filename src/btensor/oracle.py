@@ -840,19 +840,31 @@ def _dedupe_sort(pairs):
     """Collapse pairs equal within the dedupe tolerance in both the
     eigenvalue and the direction, preferring the smallest residual.
     Returns the kept pairs, sorted, and a tuple aligned with them of how
-    many of ``pairs`` each one stands for."""
-    ordered = sorted(pairs, key=lambda p: (p.lam, tuple(p.x)))
-    kept, merged = [], []
+    many of ``pairs`` each one stands for.
+
+    A pair may occur many times as one object (see :func:`_verified`); its
+    sort key is built once, and a repeat that follows its own object in
+    sorted order joins that object's slot with no comparison, which is
+    the slot the comparisons would pick."""
+    keys = {}
+    for p in pairs:
+        if id(p) not in keys:
+            keys[id(p)] = (p.lam, tuple(p.x))
+    ordered = sorted(pairs, key=lambda p: keys[id(p)])
+    kept, merged, last = [], [], None
     for p in ordered:
-        for slot, q in enumerate(kept):
-            if (abs(p.lam - q.lam) <= _DEDUPE_TOL
-                    and np.max(np.abs(p.x - q.x)) <= _DEDUPE_TOL):
-                merged[slot] += 1
-                if p.residual < q.residual:
-                    kept[slot] = p
-                break
-        else:
-            kept.append(p)
-            merged.append(1)
-    order = sorted(range(len(kept)), key=lambda s: (kept[s].lam, tuple(kept[s].x)))
+        if p is not last:
+            last = p
+            for slot, q in enumerate(kept):
+                if (abs(p.lam - q.lam) <= _DEDUPE_TOL
+                        and np.max(np.abs(p.x - q.x)) <= _DEDUPE_TOL):
+                    if p.residual < q.residual:
+                        kept[slot] = p
+                    break
+            else:
+                slot = len(kept)
+                kept.append(p)
+                merged.append(0)
+        merged[slot] += 1
+    order = sorted(range(len(kept)), key=lambda s: keys[id(kept[s])])
     return [kept[s] for s in order], tuple(merged[s] for s in order)

@@ -725,6 +725,80 @@ class TestVerifiedOncePerDistinctCandidate:
 
 
 # ---------------------------------------------------------------------------
+# the dedupe against its one-key-and-comparison-per-pair form
+
+def _reference_dedupe_sort(pairs):
+    """``oracle._dedupe_sort`` with a sort key built and a comparison run for
+    every pair, repeats included.  ``_dedupe_sort`` must keep the same
+    objects with the same counts."""
+    ordered = sorted(pairs, key=lambda p: (p.lam, tuple(p.x)))
+    kept, merged = [], []
+    for p in ordered:
+        for slot, q in enumerate(kept):
+            if (abs(p.lam - q.lam) <= oracle._DEDUPE_TOL
+                    and np.max(np.abs(p.x - q.x)) <= oracle._DEDUPE_TOL):
+                merged[slot] += 1
+                if p.residual < q.residual:
+                    kept[slot] = p
+                break
+        else:
+            kept.append(p)
+            merged.append(1)
+    order = sorted(range(len(kept)), key=lambda s: (kept[s].lam, tuple(kept[s].x)))
+    return [kept[s] for s in order], tuple(merged[s] for s in order)
+
+
+class TestDedupeMatchesReference:
+    def _check(self, pairs):
+        kept, merged = oracle._dedupe_sort(pairs)
+        want_kept, want_merged = _reference_dedupe_sort(pairs)
+        assert [id(p) for p in kept] == [id(p) for p in want_kept]
+        assert merged == want_merged
+
+    def test_interleaved_objects_with_equal_keys(self):
+        # 0.0 == -0.0, so a and b tie in the sort and keep their given order;
+        # a repeat of a that follows b must not take the shortcut
+        a = oracle.EigenPair(1.0, np.array([1.0, 0.0]), 1e-12)
+        b = oracle.EigenPair(1.0, np.array([1.0, -0.0]), 1e-13)
+        c = oracle.EigenPair(1.0 + 1e-12, np.array([1.0, 0.0]), 1e-14)
+        for pairs in ([a, b, a, b, a], [b, a, b, a], [a, a, b, b, a], [b, b, a, a, b],
+                      [a, b, c, a, c, b], [c, a, b, a, c, c], [a, c, b, c, a]):
+            self._check(pairs)
+            kept, merged = oracle._dedupe_sort(pairs)
+            assert sum(merged) == len(pairs)
+
+    def test_random_repeat_patterns(self):
+        # objects whose keys tie, differ within the dedupe tolerance or lie
+        # beyond it, each repeated and shuffled
+        rng = np.random.default_rng(81)
+        tol = oracle._DEDUPE_TOL
+        for _ in range(300):
+            objects = []
+            for _ in range(int(rng.integers(1, 7))):
+                lam = float(rng.choice([1.0, 1.0 + 0.4 * tol, 1.0 + 3 * tol, 2.0]))
+                x = np.array([1.0, float(rng.choice([0.0, -0.0, 0.3 * tol, 0.5]))])
+                res = float(rng.choice([1e-12, 1e-13, 1e-14]))
+                objects.append(oracle.EigenPair(lam, x, res))
+            pairs = [objects[i] for i in rng.integers(0, len(objects), int(rng.integers(1, 20)))]
+            self._check(pairs)
+
+    @pytest.mark.parametrize("case", list(_repeat_rich_searches()))
+    def test_search_candidate_lists(self, monkeypatch, case):
+        given = []
+        dedupe = oracle._dedupe_sort
+
+        def recording_dedupe(pairs):
+            given.append(list(pairs))
+            return dedupe(given[-1])
+
+        monkeypatch.setattr(oracle, "_dedupe_sort", recording_dedupe)
+        bt.search_report(_repeat_rich_searches()[case], restarts=64, seed=0)
+        [pairs] = given
+        assert len({id(p) for p in pairs}) < len(pairs)
+        self._check(pairs)
+
+
+# ---------------------------------------------------------------------------
 # the fixed-point pass against a plain one over the _Starts fields
 
 def _reference_power(X, p):
