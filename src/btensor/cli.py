@@ -24,6 +24,15 @@ instead of 9.7 ms.  A list whose first 64 items mostly differ, such as a
 split's B part, skips the scan, which costs 0.4 to 0.8 ms on 10**4 floats.
 ``main`` builds its argument parser once per process, so a caller that
 runs it many times pays for argparse once.
+
+A desk call is a cold process, so each verb imports only the layer
+modules it runs, when it runs: ``classify`` imports classes, ``decompose``
+decompose (with classes), ``intervals``, ``laplacian`` and
+``definiteness`` eigenloc (with classes), and ``oracle`` oracle alone;
+core and errors load for every verb.  Without a bytecode cache, a cold
+``python -m btensor.cli classify`` on T43 took a median 298 ms instead of
+326 ms when every layer loaded (40 alternating pairs, 2 shared x86-64
+CPUs).
 """
 
 from __future__ import annotations

@@ -43,6 +43,7 @@ atexit.register(lambda: sys.stderr.write(" ".join(
 
 
 def test_import_loads_no_layer_module():
+    # nor numpy and dataclasses, which core is the first to import
     loaded = _probe("import sys, json, btensor; "
                     "print(json.dumps(sorted(m for m in sys.modules if 'btensor' in m "
                     "or m.partition('.')[0] in ('numpy', 'dataclasses'))))")
