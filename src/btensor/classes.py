@@ -189,7 +189,7 @@ def a_plus(A: Tensor) -> Tensor:
         if r_plus.any() and np.isneginf(
                 np.minimum.reduce(A.array.reshape(A.dim, -1), axis=1) - r_plus).any():
             raise PreconditionError("the a_plus transform exceeds the float range")
-    return Tensor._wrap(arr, finite=True)
+    return Tensor._wrap(arr)
 
 
 def f_transform(A: Tensor) -> Tensor:
@@ -199,7 +199,7 @@ def f_transform(A: Tensor) -> Tensor:
     """
     diag = A.array[_diag_index(A.dim, A.order)]
     signs = np.sign(diag).reshape((A.dim,) + (1,) * (A.order - 1))
-    return Tensor._wrap(signs * A.array, finite=True)
+    return Tensor._wrap(signs * A.array)
 
 
 def check_f_b(A: Tensor) -> bool:

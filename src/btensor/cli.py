@@ -8,11 +8,11 @@ Verbs: classify, decompose, intervals, oracle, laplacian, definiteness.
 Inputs use the tensor JSON format (laplacian takes the hypergraph format
 instead).  Reports go to standard output as JSON; failures print an error
 JSON object on standard error and exit with 2 (input or parse errors, or an
-``--out`` path that cannot be written), 3 (precondition or class-violation
-errors, or a result outside the float range, which strict JSON cannot
-carry) or 1 (an internal error: a result that failed its own
-post-construction check).  A witness on an error line writes each
-non-finite side as ``null``.
+``--out`` path or a standard output that cannot be written, such as a pipe
+whose reader has closed), 3 (precondition or class-violation errors, or a
+result outside the float range, which strict JSON cannot carry) or 1 (an
+internal error: a result that failed its own post-construction check).  A
+witness on an error line writes each non-finite side as ``null``.
 
 Reports are ``json.dumps(report, indent=2, allow_nan=False)`` byte for
 byte, written by ``_ReportEncoder``, which joins each list of floats in one
@@ -41,6 +41,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -59,21 +60,13 @@ from .errors import (
 )
 
 
-class _IntervalMethods(dict):
-    """Each ``intervals --method`` with the name of its eigenloc function.
-    Looking a method up returns that function, importing eigenloc then."""
-
-    def __getitem__(self, method):
-        from . import eigenloc
-        return getattr(eigenloc, dict.__getitem__(self, method))
-
-
-_INTERVAL_METHODS = _IntervalMethods({
+#: Each ``intervals --method`` with the name of its eigenloc function.
+_INTERVAL_METHODS = {
     "z": "intervals_z",
     "even-sym": "intervals_even_symmetric",
     "odd-n2": "intervals_odd_or_n2",
     "gerschgorin": "intervals_gerschgorin",
-})
+}
 
 #: Each error type with its kind on the error line and its exit status; a
 #: subclass comes before its base, so the first match is the most specific.
@@ -153,7 +146,8 @@ def _run(args):
             return decompose.decompose_b(tensor).to_json_dict()
         return decompose.decompose_doubly_b(tensor).to_json_dict()
     if args.verb == "intervals":
-        return _INTERVAL_METHODS[args.method](tensor).to_json_dict()
+        from . import eigenloc
+        return getattr(eigenloc, _INTERVAL_METHODS[args.method])(tensor).to_json_dict()
     if args.verb == "oracle":
         from . import oracle
         if tensor.dim == 2:
@@ -286,8 +280,15 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise InputError(f"cannot write {args.out}: {exc}") from exc
         else:
-            sys.stdout.write(text)
-            sys.stdout.write("\n")
+            try:
+                sys.stdout.write(text)
+                sys.stdout.write("\n")
+                sys.stdout.flush()
+            except BrokenPipeError as exc:
+                # the reader is gone: what is still buffered, flushed at
+                # exit, goes to the null device instead of a second error
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                raise InputError(f"cannot write to standard output: {exc}") from exc
     except BTensorError as exc:
         _, kind, status = next(entry for entry in _ERRORS if isinstance(exc, entry[0]))
         _emit_error(kind, exc)

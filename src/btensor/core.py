@@ -133,17 +133,14 @@ class Tensor:
         self.dim = dim
 
     @classmethod
-    def _wrap(cls, arr, finite=False):
-        """A tensor on an m-way float64 array the package has just built and
-        no caller holds: the finiteness check without ``__init__``'s copy,
-        and without the check where ``finite`` says the caller made it."""
+    def _wrap(cls, arr):
+        """A tensor on an m-way array of finite float64 entries that the
+        package has just built and no caller holds, made read-only without
+        ``__init__``'s copy and checks."""
         tensor = cls.__new__(cls)
         tensor.order, tensor.dim = arr.ndim, arr.shape[0]
         arr = np.ascontiguousarray(arr, dtype=np.float64)
-        if finite:
-            arr.setflags(write=False)
-        else:
-            _frozen(arr)
+        arr.setflags(write=False)
         tensor._array = arr
         return tensor
 
@@ -241,7 +238,7 @@ class Tensor:
             except (TypeError, ValueError, OverflowError):
                 raise InputError(
                     f"sparse value {record['val']!r} must be a real number") from None
-        return cls._wrap(arr)
+        return cls._wrap(_frozen(arr))
 
 
 @dataclass(frozen=True)
@@ -457,7 +454,7 @@ def principal_subtensor(A: Tensor, members) -> Tensor:
         raise InputError("index set must be nonempty")
     if any(a >= b for a, b in zip(zero_based, zero_based[1:])):
         raise InputError("index set must be strictly increasing")
-    return Tensor._wrap(A.array[np.ix_(*([zero_based] * A.order))], finite=True)
+    return Tensor._wrap(A.array[np.ix_(*([zero_based] * A.order))])
 
 
 def is_symmetric(A: Tensor) -> bool:

@@ -98,8 +98,8 @@ def _split(A, kind, constants, eps):
     if not finite.all():
         raise PreconditionError("the Z-part of the split exceeds the float range")
     shape = A.array.shape
-    dec = Decomposition(kind, Tensor._wrap(b.reshape(shape), finite=True),
-                        Tensor._wrap(c.reshape(shape), finite=True), eps, constants)
+    dec = Decomposition(kind, Tensor._wrap(b.reshape(shape)),
+                        Tensor._wrap(c.reshape(shape)), eps, constants)
     _verify(dec, A)
     return dec
 

@@ -224,7 +224,7 @@ def laplacian_tensor(G: Hypergraph, entry_cap=DEFAULT_ENTRY_CAP) -> Tensor:
                 arr[(v - 1,) + perm] = weight
     degrees = G.degrees
     arr[_diag_index(n, m)] = degrees
-    return Tensor._wrap(arr, finite=True)
+    return Tensor._wrap(arr)
 
 
 def laplacian_bounds(G: Hypergraph) -> Interval:

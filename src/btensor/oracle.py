@@ -26,10 +26,11 @@ degree of monomials is one gather of those a degree lower times one
 gathered component.  The batch is held component-major, one column per
 start, so the per-start reductions run down the columns.
 
-Both solvers hand their candidate pairs (lambda, x), in the order they
-made them, to one step, :func:`_verified`: it re-verifies each through
-:func:`residual`, an independent code path from the solvers, keeps the
-pairs within the tolerance and deduplicates and sorts them.  Eigenvectors
+Both solvers hand their candidates (lambda, x, and the number of starts
+that reached x), in the order they made them, to one step,
+:func:`_verified`: it re-verifies each through :func:`residual`, an
+independent code path from the solvers, keeps the pairs within the
+tolerance and deduplicates and sorts them.  Eigenvectors
 are normalized to max-norm 1 with the first nonzero component positive (a
 vector and its negation always carry the same eigenvalue, so nothing is
 lost).
@@ -313,7 +314,8 @@ def eigenpairs_n2(A: Tensor, tol: float = 1e-8) -> list[EigenPair]:
         X.append([0.0, 1.0])
         lams.append(float(rows[1, -1]) + 0.0)
     X = _canonical_rows(np.array(X).reshape(-1, 2))
-    return _verified(A, zip(lams, X), tol)[0]
+    # _distinct made the candidates distinct, so each counts once
+    return _verified(A, ((lam, x, 1) for lam, x in zip(lams, X)), tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +361,11 @@ class SearchCounts:
     ``halvings`` counts the times a start's shift was halved, ``passes``
     the passes of the fixed-point loop over its batch and
     ``newton_steps`` the stacked bordered solves of both Newton runs;
-    ``pairs_found`` is the number of verified pairs before the dedupe,
-    ``pairs`` after it, and ``starts_per_pair``, aligned with the returned
-    pairs, how many of the verified pairs the dedupe collapsed into each:
-    an eigenpair that only one start reached has 1 there.
+    ``pairs_found`` is the number of starts whose vector passed the
+    residual check, ``pairs`` the number of pairs after the dedupe, and
+    ``starts_per_pair``, aligned with the returned pairs, how many of those
+    starts the dedupe collapsed into each: an eigenpair that only one
+    start reached has 1 there.
     """
 
     handed_off: int = 0
@@ -384,9 +387,9 @@ def search_report(A: Tensor, restarts: int = 64, seed: int = 0,
     """:func:`eigen_search` together with the :class:`SearchCounts` of the
     search; the pairs are the same.
 
-    Many starts end on bitwise the same vector.  Lambda is computed once
-    per distinct vector, and :func:`_verified` checks each bitwise-distinct
-    candidate once, its repeats sharing its :class:`EigenPair`, so the
+    Many starts end on bitwise the same vector, so the vectors are grouped
+    by their bits into candidates that carry their number of starts:
+    lambda and the residual are computed once per distinct vector, and the
     pairs and counts are those of one check per start.
 
     Raises :class:`InputError`, before anything is allocated, where
@@ -417,15 +420,16 @@ def search_report(A: Tensor, restarts: int = 64, seed: int = 0,
     signs = np.repeat([1.0, -1.0], restarts)
 
     counts = SearchCounts()
-    # starts that reached the same vector share its lambda, bit for bit
-    lams, candidates = {}, []
+    # the starts that reached bitwise the same vector make one candidate,
+    # with their number, in first-seen order
+    found = {}
     for x in _batched_fixed_point(rows, signs, m, np.hstack([starts, starts]),
                                   alpha0, tol, counts):
-        key = x.tobytes()
-        if key not in lams:
-            xm = x ** (m - 1)
-            lams[key] = float(contract(A, x) @ xm / (xm @ xm)) + 0.0
-        candidates.append((lams[key], x))
+        found.setdefault(x.tobytes(), [x, 0])[1] += 1
+    candidates = []
+    for x, repeats in found.values():
+        xm = x ** (m - 1)
+        candidates.append((float(contract(A, x) @ xm / (xm @ xm)) + 0.0, x, repeats))
     pairs, counts.starts_per_pair = _verified(A, candidates, tol)
     counts.pairs_found = sum(counts.starts_per_pair)
     counts.pairs = len(pairs)
@@ -433,29 +437,19 @@ def search_report(A: Tensor, restarts: int = 64, seed: int = 0,
 
 
 def _verified(A, candidates, tol):
-    """Re-verify the (lambda, x) ``candidates`` through :func:`residual` and
-    pass those within ``tol``, each with a read-only copy of x, to
-    :func:`_dedupe_sort`, whose result is returned.  The candidates' order
-    decides which of two pairs with tied sort keys is kept.
-
-    Each bitwise-distinct candidate, keyed on the bits of lambda and of x
-    (so 0.0 and -0.0 differ), is verified once; its repeats pass on the
-    same :class:`EigenPair`, or are dropped with it, so the dedupe sees
-    the same sequence of values as with one check per candidate."""
-    pairs, seen = [], {}
-    for lam, x in candidates:
-        key = (float.hex(lam), x.tobytes())
-        if key not in seen:
-            res = residual(A, lam, x)
-            if res <= tol:
-                x = x.copy()
-                x.setflags(write=False)
-                seen[key] = EigenPair(lam, x, res)
-            else:
-                seen[key] = None
-        if seen[key] is not None:
-            pairs.append(seen[key])
-    return _dedupe_sort(pairs)
+    """Re-verify the (lambda, x, repeats) ``candidates`` through
+    :func:`residual`, once each, and pass those within ``tol``, each with a
+    read-only copy of x and its ``repeats``, to :func:`_dedupe_sort`, whose
+    result is returned.  The candidates' order decides which of two pairs
+    with tied sort keys is kept."""
+    items = []
+    for lam, x, repeats in candidates:
+        res = residual(A, lam, x)
+        if res <= tol:
+            x = x.copy()
+            x.setflags(write=False)
+            items.append((EigenPair(lam, x, res), repeats))
+    return _dedupe_sort(items)
 
 
 def _spectral_bound(rows):
@@ -836,35 +830,33 @@ def _bordered_solve(J, F):
     return d
 
 
-def _dedupe_sort(pairs):
-    """Collapse pairs equal within the dedupe tolerance in both the
-    eigenvalue and the direction, preferring the smallest residual.
-    Returns the kept pairs, sorted, and a tuple aligned with them of how
-    many of ``pairs`` each one stands for.
+def _dedupe_sort(items):
+    """Collapse the (pair, repeats) ``items`` whose pairs are equal within the
+    dedupe tolerance in both the eigenvalue and the direction, preferring
+    the smallest residual.  Returns the kept pairs, sorted, and a tuple
+    aligned with them of the repeats that each one absorbed.
 
-    A pair may occur many times as one object (see :func:`_verified`); its
-    sort key is built once, and a repeat that follows its own object in
-    sorted order joins that object's slot with no comparison, which is
-    the slot the comparisons would pick."""
-    keys = {}
-    for p in pairs:
-        if id(p) not in keys:
-            keys[id(p)] = (p.lam, tuple(p.x))
-    ordered = sorted(pairs, key=lambda p: keys[id(p)])
-    kept, merged, last = [], [], None
-    for p in ordered:
-        if p is not last:
-            last = p
-            for slot, q in enumerate(kept):
-                if (abs(p.lam - q.lam) <= _DEDUPE_TOL
-                        and np.max(np.abs(p.x - q.x)) <= _DEDUPE_TOL):
-                    if p.residual < q.residual:
-                        kept[slot] = p
-                    break
-            else:
-                slot = len(kept)
-                kept.append(p)
-                merged.append(0)
-        merged[slot] += 1
-    order = sorted(range(len(kept)), key=lambda s: keys[id(kept[s])])
-    return [kept[s] for s in order], tuple(merged[s] for s in order)
+    The sort is stable, so of two pairs with tied sort keys (0.0 and -0.0
+    components) the first given is compared first; as the two are equal in
+    value, both join the same slot."""
+    ordered = sorted(items, key=_sort_key)
+    kept, merged = [], []
+    for p, repeats in ordered:
+        for slot, q in enumerate(kept):
+            if (abs(p.lam - q.lam) <= _DEDUPE_TOL
+                    and np.max(np.abs(p.x - q.x)) <= _DEDUPE_TOL):
+                if p.residual < q.residual:
+                    kept[slot] = p
+                break
+        else:
+            slot = len(kept)
+            kept.append(p)
+            merged.append(0)
+        merged[slot] += repeats
+    final = sorted(zip(kept, merged), key=_sort_key)
+    return [p for p, _ in final], tuple(repeats for _, repeats in final)
+
+
+def _sort_key(item):
+    """The sort key, lambda and then x, of a (pair, repeats) item."""
+    return item[0].lam, tuple(item[0].x)

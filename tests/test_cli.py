@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -146,6 +147,26 @@ class TestFailurePaths:
         error = json.loads(line, parse_constant=_strict)
         assert error["error"] == "input"
         assert error["detail"].startswith(f"cannot write {target}: ")
+
+    @pytest.mark.parametrize("dim", [3, 20], ids=["buffered-report", "report-past-buffer"])
+    def test_closed_stdout_exits_2(self, tmp_path, dim):
+        # the read end of the pipe closes before the report is written: a
+        # small report fails at the flush, a large one at the write itself
+        path = tmp_path / "identity.json"
+        path.write_text(json.dumps(bt.Tensor.identity(3, dim).to_json_dict()))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "btensor.cli", "decompose", "--method", "b", str(path)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2
+        [line] = result.stderr.splitlines()
+        error = json.loads(line, parse_constant=_strict)
+        assert error["error"] == "input"
+        assert error["detail"].startswith("cannot write to standard output: ")
 
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -375,7 +396,7 @@ class TestNearOverflow:
     def test_intervals_keep_their_finite_lower_end(self, tmp_path, method, dense):
         # L = diag - r_plus - deficit is 0 in both rows; only the upper end U
         # exceeds DBL_MAX, which strict JSON cannot carry, so the CLI exits 3
-        union = _INTERVAL_METHODS[method](bt.Tensor(2, 2, dense))
+        union = getattr(bt, _INTERVAL_METHODS[method])(bt.Tensor(2, 2, dense))
         assert union.to_json_dict() == {"parts": [{"lo": 0.0, "hi": float("inf")}]}
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"order": 2, "dim": 2, "dense": dense}))

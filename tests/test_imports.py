@@ -115,7 +115,8 @@ tracer = tracing.Tracer()
 wrapped = tracing.install(tracer)
 A = btensor.Tensor.identity(4, 2)
 btensor.classify(A)
-btensor.cli._INTERVAL_METHODS["gerschgorin"](A)
+from btensor import eigenloc
+getattr(eigenloc, btensor.cli._INTERVAL_METHODS["gerschgorin"])(A)
 print(json.dumps([sorted(set(tracing.EXPECTED) - set(wrapped)),
                   sorted({{span[1] for span in tracer.spans}})]))
 """

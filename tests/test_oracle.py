@@ -586,11 +586,12 @@ class TestSearchReport:
 
     def test_dedupe_counts_follow_the_sorted_pairs(self):
         x, y = np.array([1.0, 0.0]), np.array([1.0, 1.0])
-        pairs = [oracle.EigenPair(2.0, y, 1e-12), oracle.EigenPair(1.0, x, 1e-12),
-                 oracle.EigenPair(2.0 + 1e-12, y, 1e-14), oracle.EigenPair(2.0, y, 1e-13)]
-        kept, merged = oracle._dedupe_sort(pairs)
+        items = [(oracle.EigenPair(2.0, y, 1e-12), 1), (oracle.EigenPair(1.0, x, 1e-12), 2),
+                 (oracle.EigenPair(2.0 + 1e-12, y, 1e-14), 3),
+                 (oracle.EigenPair(2.0, y, 1e-13), 1)]
+        kept, merged = oracle._dedupe_sort(items)
         assert [(p.lam, p.residual) for p in kept] == [(1.0, 1e-12), (2.0 + 1e-12, 1e-14)]
-        assert merged == (1, 3)
+        assert merged == (2, 5)
 
     def test_dedupe_keeps_the_first_of_tied_pairs(self):
         # -0.0 == 0.0, so the sort keys tie and the first pair given stands
@@ -598,7 +599,7 @@ class TestSearchReport:
         # the returned vectors stay bitwise the same
         neg, pos = (oracle.EigenPair(1.0, np.array([1.0, z]), 1e-12) for z in (-0.0, 0.0))
         for pairs in ([neg, pos], [pos, neg]):
-            kept, merged = oracle._dedupe_sort(pairs)
+            kept, merged = oracle._dedupe_sort([(p, 1) for p in pairs])
             assert kept[0] is pairs[0] and merged == (2,)
 
     def test_overflowing_shift_is_a_precondition_error(self):
@@ -611,11 +612,13 @@ class TestSearchReport:
 
 
 # ---------------------------------------------------------------------------
-# one residual check per bitwise-distinct candidate
+# one residual check per distinct candidate, its repeats carried as a count
 
 def _reference_verified(A, candidates, tol):
-    """One :func:`residual` check and one read-only copy per candidate,
-    repeats included.  ``oracle._verified`` must return what it returns."""
+    """One :func:`residual` check, read-only copy and dedupe comparison per
+    (lambda, x) candidate, repeats included.  ``oracle._verified``, given
+    each distinct candidate once with its number of repeats, must return
+    what it returns."""
     pairs = []
     for lam, x in candidates:
         res = oracle.residual(A, lam, x)
@@ -623,7 +626,18 @@ def _reference_verified(A, candidates, tol):
             x = x.copy()
             x.setflags(write=False)
             pairs.append(oracle.EigenPair(lam, x, res))
-    return oracle._dedupe_sort(pairs)
+    return _reference_dedupe_sort(pairs)
+
+
+def _expanded(candidates):
+    """The (lambda, x, repeats) ``candidates`` with each repeat listed."""
+    return [(lam, x) for lam, x, repeats in candidates for _ in range(repeats)]
+
+
+def _search_lambda(A, x):
+    """The lambda that the search gives its vector ``x``."""
+    xm = x ** (A.order - 1)
+    return float(bt.contract(A, x) @ xm / (xm @ xm)) + 0.0
 
 
 def _bits(pairs):
@@ -641,59 +655,61 @@ def _repeat_rich_searches():
             "z-3-3": random_z(np.random.default_rng(75), 3, 3)}
 
 
+@pytest.fixture
+def recorded(monkeypatch):
+    """Run a solver with its stages recorded: the vectors each fixed-point
+    run returned, in start order, the candidates each ``_verified`` call
+    got, the (lambda, x) bits of each residual check and the items each
+    ``_dedupe_sort`` call got."""
+    seen = {"vectors": [], "candidates": [], "checked": [], "deduped": []}
+    fixed_point, verified = oracle._batched_fixed_point, oracle._verified
+    residual, dedupe = oracle.residual, oracle._dedupe_sort
+
+    def recording_fixed_point(*args):
+        seen["vectors"].append(list(fixed_point(*args)))
+        return seen["vectors"][-1]
+
+    def recording_verified(A, candidates, tol):
+        seen["candidates"].append(list(candidates))
+        return verified(A, seen["candidates"][-1], tol)
+
+    def counting_residual(A, lam, x):
+        seen["checked"].append(_key(lam, x))
+        return residual(A, lam, x)
+
+    def recording_dedupe(items):
+        seen["deduped"].append(list(items))
+        return dedupe(seen["deduped"][-1])
+
+    monkeypatch.setattr(oracle, "_batched_fixed_point", recording_fixed_point)
+    monkeypatch.setattr(oracle, "_verified", recording_verified)
+    monkeypatch.setattr(oracle, "residual", counting_residual)
+    monkeypatch.setattr(oracle, "_dedupe_sort", recording_dedupe)
+    return seen
+
+
 class TestVerifiedOncePerDistinctCandidate:
-    @pytest.fixture
-    def recorded(self, monkeypatch):
-        """Run a solver with ``_verified`` and ``residual`` recorded: the
-        candidates each ``_verified`` call got, the (lambda, x) bits of each
-        residual check and the pairs each ``_dedupe_sort`` call got."""
-        seen = {"candidates": [], "checked": [], "deduped": []}
-        verified, residual, dedupe = oracle._verified, oracle.residual, oracle._dedupe_sort
-
-        def recording_verified(A, candidates, tol):
-            seen["candidates"].append(list(candidates))
-            return verified(A, seen["candidates"][-1], tol)
-
-        def counting_residual(A, lam, x):
-            seen["checked"].append(_key(lam, x))
-            return residual(A, lam, x)
-
-        def recording_dedupe(pairs):
-            seen["deduped"].append(list(pairs))
-            return dedupe(seen["deduped"][-1])
-
-        monkeypatch.setattr(oracle, "_verified", recording_verified)
-        monkeypatch.setattr(oracle, "residual", counting_residual)
-        monkeypatch.setattr(oracle, "_dedupe_sort", recording_dedupe)
-        return seen
-
-    def _check(self, A, seen, pairs, tol, starts_per_pair=None):
-        [candidates] = seen["candidates"]
-        keys = [_key(lam, x) for lam, x in candidates]
-        # one residual check per distinct (lambda, x bits), in first-seen order
-        assert seen["checked"] == list(dict.fromkeys(keys))
-        # repeats pass the same EigenPair on
-        [given] = seen["deduped"]
-        for p in given:
-            assert p is next(q for q in given if _key(q.lam, q.x) == _key(p.lam, p.x))
-        want_pairs, want_merged = _reference_verified(A, candidates, tol)
-        assert _bits(pairs) == _bits(want_pairs)
-        if starts_per_pair is not None:
-            assert starts_per_pair == want_merged
-        return len(keys) - len(set(keys))
-
     @pytest.mark.parametrize("case", list(_repeat_rich_searches()))
     def test_searches_rich_in_repeats_match_the_reference(self, recorded, case):
         A = _repeat_rich_searches()[case]
         pairs, counts = bt.search_report(A, restarts=64, seed=0)
-        repeats = self._check(A, recorded, pairs, 1e-8, counts.starts_per_pair)
-        assert repeats > 0
-        assert counts.pairs_found == len(recorded["deduped"][0])
-        # each candidate's lambda is the one its own vector gives
-        m = A.order
-        for lam, x in recorded["candidates"][0]:
-            xm = x ** (m - 1)
-            assert lam.hex() == (float(bt.contract(A, x) @ xm / (xm @ xm)) + 0.0).hex()
+        [vectors], [candidates] = recorded["vectors"], recorded["candidates"]
+        # one candidate per distinct vector, in first-seen order, with its
+        # number of starts and the lambda its own vector gives
+        firsts = {}
+        for x in vectors:
+            firsts.setdefault(x.tobytes(), [x, 0])[1] += 1
+        assert [(lam.hex(), x.tobytes(), repeats) for lam, x, repeats in candidates] == [
+            (_search_lambda(A, x).hex(), key, repeats) for key, (x, repeats) in firsts.items()]
+        assert len(candidates) < len(vectors)
+        # one residual check per candidate
+        assert recorded["checked"] == [_key(lam, x) for lam, x, _ in candidates]
+        # one check and comparison per start give the same pairs and counts
+        want_pairs, want_merged = _reference_verified(
+            A, [(_search_lambda(A, x), x) for x in vectors], 1e-8)
+        assert _bits(pairs) == _bits(want_pairs)
+        assert counts.starts_per_pair == want_merged
+        assert counts.pairs_found == sum(repeats for _, repeats in recorded["deduped"][0])
 
     def test_dim2_candidates_match_the_reference(self, recorded):
         # the identity's continuum gives three representatives and the
@@ -704,33 +720,39 @@ class TestVerifiedOncePerDistinctCandidate:
         for A in tensors:
             for found in recorded.values():
                 found.clear()
-            self._check(A, recorded, bt.eigenpairs_n2(A), 1e-8)
+            pairs = bt.eigenpairs_n2(A)
+            [candidates] = recorded["candidates"]
+            assert all(repeats == 1 for _, _, repeats in candidates)
+            keys = [_key(lam, x) for lam, x, _ in candidates]
+            assert recorded["checked"] == keys and len(set(keys)) == len(keys)
+            assert _bits(pairs) == _bits(_reference_verified(A, _expanded(candidates), 1e-8)[0])
 
     def test_signed_zeros_are_distinct_candidates(self, recorded):
         # 0.0 == -0.0, but their bits differ, in lambda and in x alike
         A = bt.Tensor.from_array(np.diag([0.0, 1.0]))
         x, y = np.array([1.0, 0.0]), np.array([1.0, -0.0])
-        candidates = [(0.0, x), (-0.0, x), (0.0, y), (0.0, x.copy()), (-0.0, y)]
+        candidates = [(0.0, x, 2), (-0.0, x, 1), (0.0, y, 1), (-0.0, y, 1)]
         pairs, merged = oracle._verified(A, candidates, 1e-8)
-        assert recorded["checked"] == [_key(lam, v) for lam, v in candidates[:3]
-                                       + candidates[4:]]
-        assert _bits(pairs) == _bits(_reference_verified(A, candidates, 1e-8)[0])
-        assert merged == (5,)
+        assert recorded["checked"] == [_key(lam, v) for lam, v, _ in candidates]
+        want_pairs, want_merged = _reference_verified(A, _expanded(candidates), 1e-8)
+        assert _bits(pairs) == _bits(want_pairs)
+        assert merged == want_merged == (5,)
 
     def test_rejected_candidates_are_checked_once(self, recorded):
         A = bt.Tensor.from_array(np.diag([2.0, 1.0]))
         x = np.array([1.0, 1.0])
-        assert oracle._verified(A, [(1.0, x)] * 3, 1e-8) == ([], ())
+        assert oracle._verified(A, [(1.0, x, 3)], 1e-8) == ([], ())
         assert recorded["checked"] == [_key(1.0, x)]
 
 
 # ---------------------------------------------------------------------------
-# the dedupe against its one-key-and-comparison-per-pair form
+# the dedupe of counted items against its one-comparison-per-pair form
 
 def _reference_dedupe_sort(pairs):
     """``oracle._dedupe_sort`` with a sort key built and a comparison run for
-    every pair, repeats included.  ``_dedupe_sort`` must keep the same
-    objects with the same counts."""
+    every pair, repeats included.  ``_dedupe_sort``, given each object once
+    with its number of repeats, must keep the same objects with the same
+    counts."""
     ordered = sorted(pairs, key=lambda p: (p.lam, tuple(p.x)))
     kept, merged = [], []
     for p in ordered:
@@ -748,23 +770,31 @@ def _reference_dedupe_sort(pairs):
     return [kept[s] for s in order], tuple(merged[s] for s in order)
 
 
+def _counted(pairs):
+    """``pairs`` as (pair, repeats) items, one per object, in first-seen order."""
+    firsts = {}
+    for p in pairs:
+        firsts.setdefault(id(p), [p, 0])[1] += 1
+    return [(p, repeats) for p, repeats in firsts.values()]
+
+
 class TestDedupeMatchesReference:
     def _check(self, pairs):
-        kept, merged = oracle._dedupe_sort(pairs)
+        kept, merged = oracle._dedupe_sort(_counted(pairs))
         want_kept, want_merged = _reference_dedupe_sort(pairs)
         assert [id(p) for p in kept] == [id(p) for p in want_kept]
         assert merged == want_merged
 
     def test_interleaved_objects_with_equal_keys(self):
-        # 0.0 == -0.0, so a and b tie in the sort and keep their given order;
-        # a repeat of a that follows b must not take the shortcut
+        # 0.0 == -0.0, so a and b tie in the sort; the reference meets a's
+        # repeats on both sides of b, the counted form only once before it
         a = oracle.EigenPair(1.0, np.array([1.0, 0.0]), 1e-12)
         b = oracle.EigenPair(1.0, np.array([1.0, -0.0]), 1e-13)
         c = oracle.EigenPair(1.0 + 1e-12, np.array([1.0, 0.0]), 1e-14)
         for pairs in ([a, b, a, b, a], [b, a, b, a], [a, a, b, b, a], [b, b, a, a, b],
                       [a, b, c, a, c, b], [c, a, b, a, c, c], [a, c, b, c, a]):
             self._check(pairs)
-            kept, merged = oracle._dedupe_sort(pairs)
+            kept, merged = oracle._dedupe_sort(_counted(pairs))
             assert sum(merged) == len(pairs)
 
     def test_random_repeat_patterns(self):
@@ -783,18 +813,14 @@ class TestDedupeMatchesReference:
             self._check(pairs)
 
     @pytest.mark.parametrize("case", list(_repeat_rich_searches()))
-    def test_search_candidate_lists(self, monkeypatch, case):
-        given = []
-        dedupe = oracle._dedupe_sort
-
-        def recording_dedupe(pairs):
-            given.append(list(pairs))
-            return dedupe(given[-1])
-
-        monkeypatch.setattr(oracle, "_dedupe_sort", recording_dedupe)
+    def test_search_candidate_lists(self, recorded, case):
         bt.search_report(_repeat_rich_searches()[case], restarts=64, seed=0)
-        [pairs] = given
-        assert len({id(p) for p in pairs}) < len(pairs)
+        [vectors], [items] = recorded["vectors"], recorded["deduped"]
+        assert any(repeats > 1 for _, repeats in items)
+        # each start that passed the check, in start order, as its pair
+        pair_of = {p.x.tobytes(): p for p, _ in items}
+        pairs = [pair_of[x.tobytes()] for x in vectors if x.tobytes() in pair_of]
+        assert [(id(p), k) for p, k in _counted(pairs)] == [(id(p), k) for p, k in items]
         self._check(pairs)
 
 
