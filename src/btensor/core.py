@@ -15,8 +15,12 @@ import numpy as np
 
 from .errors import InputError
 
-#: Refuse to allocate tensors with more entries than this by default.
+#: Refuse to allocate tensors with more entries than this.
 DEFAULT_ENTRY_CAP = 10**8
+
+#: The most axes an array holds in numpy 1.x (numpy 2 holds 64), and so the
+#: highest order: only a dim-1 tensor can pass the entry cap above it.
+_MAX_ORDER = 32
 
 #: Entries in the scratch buffer of a full pass (1 MiB of float64): the pass
 #: walks blocks of whole rows, so the buffer stays in cache and is not paged in.
@@ -77,27 +81,32 @@ def _frozen(arr):
     return arr
 
 
-def _header(order, dim, entry_cap):
+def _header(order, dim):
     """``order`` and ``dim`` as ints and the entry count n**m, checked
-    before anything is allocated."""
+    against ``DEFAULT_ENTRY_CAP`` and ``_MAX_ORDER`` before anything is
+    allocated."""
     order = _as_int(order, "order")
     dim = _as_int(dim, "dim")
     if order < 2:
         raise InputError(f"order must be at least 2, got {order}")
     if dim < 1:
         raise InputError(f"dim must be at least 1, got {dim}")
-    if dim > 1 and (dim > entry_cap or order > math.log2(max(entry_cap, 1))):
+    cap = DEFAULT_ENTRY_CAP
+    if dim > 1 and (dim > cap or order > math.log2(cap)):
         # dim**order >= max(dim, 2**order) is above the cap; the exact power
         # can take minutes to compute and have too many digits to print
         raise InputError(
             f"tensor with dim {dim} and order {order} needs more entries "
-            f"than the cap of {entry_cap}"
+            f"than the cap of {cap}"
         )
+    if order > _MAX_ORDER:
+        raise InputError(f"order must be at most {_MAX_ORDER}, the most axes of a "
+                         f"numpy 1.x array; got {order}")
     count = dim**order
-    if count > entry_cap:
+    if count > cap:
         raise InputError(
             f"tensor with dim {dim} and order {order} needs {count} entries, "
-            f"above the cap of {entry_cap}"
+            f"above the cap of {cap}"
         )
     return order, dim, count
 
@@ -116,8 +125,8 @@ class Tensor:
 
     __slots__ = ("order", "dim", "_array")
 
-    def __init__(self, order, dim, entries, entry_cap=DEFAULT_ENTRY_CAP):
-        order, dim, count = _header(order, dim, entry_cap)
+    def __init__(self, order, dim, entries):
+        order, dim, count = _header(order, dim)
         if isinstance(entries, (list, tuple)):
             _reject_non_numbers(entries)
         try:
@@ -145,7 +154,7 @@ class Tensor:
         return tensor
 
     @classmethod
-    def from_array(cls, arr, entry_cap=DEFAULT_ENTRY_CAP):
+    def from_array(cls, arr):
         """Build a tensor from an m-way numpy array with equal axis lengths."""
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim < 2:
@@ -153,7 +162,7 @@ class Tensor:
         dims = set(arr.shape)
         if len(dims) != 1:
             raise InputError(f"array axes must all have equal length, got shape {arr.shape}")
-        return cls(arr.ndim, arr.shape[0], arr, entry_cap=entry_cap)
+        return cls(arr.ndim, arr.shape[0], arr)
 
     @classmethod
     def identity(cls, order, dim):
@@ -187,7 +196,8 @@ class Tensor:
         )
 
     def __hash__(self):
-        return hash((self.order, self.dim, self._array.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which __eq__ holds equal
+        return hash((self.order, self.dim, (self._array + 0.0).tobytes()))
 
     def __repr__(self):
         return f"Tensor(order={self.order}, dim={self.dim})"
@@ -200,7 +210,7 @@ class Tensor:
         }
 
     @classmethod
-    def from_json_dict(cls, obj, entry_cap=DEFAULT_ENTRY_CAP):
+    def from_json_dict(cls, obj):
         """Parse the tensor JSON format.
 
         The object must carry ``order``, ``dim`` and exactly one of
@@ -214,8 +224,8 @@ class Tensor:
         if has_dense == has_sparse:
             raise InputError("tensor JSON needs exactly one of 'dense' or 'sparse'")
         if has_dense:
-            return cls(order, dim, obj["dense"], entry_cap=entry_cap)
-        order, dim, _ = _header(order, dim, entry_cap)
+            return cls(order, dim, obj["dense"])
+        order, dim, _ = _header(order, dim)
         arr = np.zeros((dim,) * order)
         seen = set()
         records = obj["sparse"]

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classes
-from .core import (DEFAULT_ENTRY_CAP, Tensor, _as_int, _diag_index, _header, _json_fields,
-                   is_symmetric, row_stats)
+from .core import (Tensor, _as_int, _diag_index, _header, _json_fields, is_symmetric,
+                   row_stats)
 from .errors import ClassViolationError, InputError, InternalError, PreconditionError
 
 
@@ -207,14 +207,14 @@ class Hypergraph:
         return {"n": self.n, "m": self.m, "edges": [list(e) for e in self.edges]}
 
 
-def laplacian_tensor(G: Hypergraph, entry_cap=DEFAULT_ENTRY_CAP) -> Tensor:
+def laplacian_tensor(G: Hypergraph) -> Tensor:
     """Degree diagonal minus 1/(m-1)! times the adjacency pattern.
 
     For each edge and each of its vertices i, every permutation of the
     remaining vertices receives the entry -1/(m-1)!, which makes all row
     sums zero and the result a Z-tensor.
     """
-    m, n, _ = _header(G.m, G.n, entry_cap)
+    m, n, _ = _header(G.m, G.n)
     arr = np.zeros((n,) * m)
     weight = -1.0 / math.factorial(m - 1)
     for edge in G.edges:

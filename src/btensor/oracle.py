@@ -6,16 +6,14 @@ is exhaustive up to root-finding tolerance.  The roots are isolated on
 lists of Python floats, with numpy's arithmetic in numpy's order
 (``_polydiv`` is ``numpy.polynomial.polynomial.polydiv`` step for step),
 so they come out bitwise as on numpy arrays, and a value past DBL_MAX
-becomes inf without a warning.  For larger dimensions a
-seeded, shifted fixed-point search returns a deterministic subset of the
-spectrum; completeness is not claimed there, and an empty result is a
-legal outcome.  The search hands each start whose defect falls below
+becomes inf without a warning.  For larger dimensions a seeded, shifted
+fixed-point search returns a deterministic subset of the spectrum;
+completeness is not claimed there, and an empty result is a legal
+outcome.  The search hands each start whose defect falls below
 ``_HANDOFF`` to Newton's method, run on all such starts at once as a
-stack of bordered n x n solves; a start that Newton's method does not
-bring within the tolerance resumes the fixed point where it left it, and
-what it converges to is polished by a second such run.  So pairs on
-simple eigenvalues are solved to rounding level, and starts that found
-the same pair merge in the dedupe.
+stack of bordered n x n solves (see :func:`_batched_fixed_point`), so
+pairs on simple eigenvalues are solved to rounding level, and starts
+that found the same pair merge in the dedupe.
 
 The fixed point contracts the tensor with x^(m-1) through its
 symmetrization over the last m-1 indices, which gives the same vector:
@@ -24,16 +22,17 @@ indices, and each pass multiplies these sums with the C(n+m-2, m-1)
 distinct monomials of degree m-1 in x, for all starts at once.  Each
 degree of monomials is one gather of those a degree lower times one
 gathered component.  The batch is held component-major, one column per
-start, so the per-start reductions run down the columns.
+start, so the per-start reductions run down the columns.  Newton's
+Jacobian is sums derived from these once per search times the
+C(n+m-3, m-2) monomials of degree m-2, built by the pass's lower steps.
 
 Both solvers hand their candidates (lambda, x, and the number of starts
 that reached x), in the order they made them, to one step,
 :func:`_verified`: it re-verifies each through :func:`residual`, an
 independent code path from the solvers, keeps the pairs within the
-tolerance and deduplicates and sorts them.  Eigenvectors
-are normalized to max-norm 1 with the first nonzero component positive (a
-vector and its negation always carry the same eigenvalue, so nothing is
-lost).
+tolerance and deduplicates and sorts them.  Eigenvectors are normalized
+to max-norm 1 with the first nonzero component positive (a vector and
+its negation always carry the same eigenvalue, so nothing is lost).
 
 The localization results for Z-tensors concern real eigenvalues that may
 have complex eigenvectors; this oracle only produces H-eigenpairs (real
@@ -331,20 +330,15 @@ def eigen_search(A: Tensor, restarts: int = 64, seed: int = 0,
     negation, which steers the iteration toward the high and the low end
     of the spectrum respectively.  The shift starts at a row-sum magnitude
     bound on the spectrum and is halved per start whenever the defect
-    stops shrinking.  All 2 * ``restarts`` starts of both signs iterate as
-    one batch (capped at 10**4 steps).  A start whose defect drops below
-    ``_HANDOFF`` leaves the batch, and all such starts are polished
-    together by Newton's method (see :func:`_batched_fixed_point`), so the
-    pairs it returns solve the equation to rounding level and distinct
-    starts that found the same pair collapse in the dedupe.  Converged
-    vectors are re-verified through :func:`residual`, deduplicated and
-    sorted.
+    stops shrinking.  All 2 * ``restarts`` starts iterate as one batch
+    (capped at 10**4 steps), and Newton's method polishes those that come
+    near a pair (see :func:`_batched_fixed_point`); the vectors are
+    re-verified through :func:`residual`, deduplicated and sorted.
 
     Raises :class:`PreconditionError` when the shift bound, 1 plus the
     largest absolute row sum, exceeds the float range, and
     :class:`InputError` when ``restarts`` exceeds the batch cap of
-    :func:`search_report`.
-    """
+    :func:`search_report`."""
     return search_report(A, restarts=restarts, seed=seed, tol=tol)[0]
 
 
@@ -393,16 +387,16 @@ def search_report(A: Tensor, restarts: int = 64, seed: int = 0,
     pairs and counts are those of one check per start.
 
     Raises :class:`InputError`, before anything is allocated, where
-    ``restarts`` would make the widest batch array, the C(n+m-2, m-1)
-    distinct monomials of each of the 2 * ``restarts`` starts, hold more
-    than ``DEFAULT_ENTRY_CAP`` entries."""
+    ``restarts`` would make the monomial batch, the C(n+m-2, m-1) distinct
+    monomials of each of the 2 * ``restarts`` starts, hold more than
+    ``DEFAULT_ENTRY_CAP`` entries.  Newton's monomials are fewer; its n x n
+    Jacobians are under twice the batch for m >= 3, n times it at m = 2."""
     if _as_int(restarts, "restarts") < 1:
         raise InputError(f"restarts must be a positive integer, got {restarts!r}")
     if _as_int(seed, "seed") < 0:
         raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
     _check_tol(tol)
     n, m = A.dim, A.order
-    # the widest batch array holds each distinct monomial of every start
     most = DEFAULT_ENTRY_CAP // (2 * math.comb(n + m - 2, m - 1))
     if restarts > most:
         raise InputError(f"restarts must be at most {most} for order {m}, dim {n}, so that "
@@ -579,7 +573,7 @@ def _batched_fixed_point(rows, signs, m, starts, alpha0, tol, counts):
     finished, handed = _sweep(plan, m, batch, tol, _HANDOFF, counts)
     counts.handed_off = handed.order.size
     if handed.order.size:
-        jac, target = _jacobian_rows(rows, m), _POLISH * float(np.abs(rows).max())
+        jac, target = _jacobian_plan(*plan), _POLISH * float(np.abs(rows).max())
         X, defect = _newton(jac, m, handed.X.T, target, counts)
         polished = defect <= 0.9 * tol
         counts.polished = int(polished.sum())
@@ -744,22 +738,27 @@ def _due(gain, born, stall, last_step):
     return min(int(np.minimum.reduce(gain)) + stall + 1, int(np.minimum.reduce(born)) + last_step)
 
 
-def _jacobian_rows(rows, m):
-    """The matrix ``S`` of shape (n*n, n**(m-2)) such that ``w @ S.T``,
-    for ``w`` the (m-2)-fold products of the components of x, is the
-    Jacobian of ``A x^(m-1)`` flattened row-major.  ``S`` is the sum of A
-    with each of its last m-1 axes in turn moved to second place; on such
-    products it acts as (m-1) times A symmetrized over its last m-1
-    indices, at m-1 instead of (m-1)! terms."""
-    n = rows.shape[0]
-    arr = rows.reshape((n,) * m)
-    S = arr.copy()
-    for axis in range(2, m):
-        S += np.moveaxis(arr, axis, 1)
-    return S.reshape(n * n, -1)
+def _jacobian_plan(S, steps):
+    """``Sj`` and ``steps[:-1]`` from the :func:`_monomial_plan` ``(S,
+    steps)``: ``w @ Sj.T`` is the Jacobian of A x^(m-1) flattened row-major
+    for ``w`` the degree-(m-2) monomials ``_monomials(X, steps[:-1])``, or
+    1 at m = 2.  As d x^alpha / d x_j is alpha_j x^(alpha - e_j), S's
+    column of alpha joins the rows of the j at each position of alpha's
+    index tuple, in the column of that tuple without the position."""
+    n, p = S.shape[0], len(steps) + 1
+    # the nondecreasing index tuples of degrees m-2 and m-1, one per column
+    low, high = np.zeros((0, 1), dtype=int), np.arange(n)[None, :]
+    for parent, last in steps:
+        low, high = high, np.vstack([high[:, parent], last])
+    radix = n ** np.arange(p - 2, -1, -1)
+    codes = radix @ low
+    Sj = np.zeros((n, n, low.shape[1]))
+    for q in range(p):
+        Sj[:, high[q], np.searchsorted(codes, radix @ np.delete(high, q, axis=0))] += S
+    return Sj.reshape(n * n, -1), steps[:-1]
 
 
-def _newton(jac, m, X, target, counts):
+def _newton(plan, m, X, target, counts):
     """Newton's method on all starts ``X`` (max-norm 1) at once.
 
     The unknowns of start i are x and lambda, with the largest component
@@ -768,12 +767,15 @@ def _newton(jac, m, X, target, counts):
     with lambda negated.  Each step solves the bordered n x n systems, the
     Jacobian J - (m-1) lambda diag(x^[m-2]) with column p replaced by
     -x^[m-1] (the lambda column), for the whole stack, in at most
-    ``_NEWTON_STEPS`` steps.  The defect of a start is max|F| over
-    max|x|^(m-1), the :func:`residual` of x.  A start above ``target``
-    steps on while its defect is finite; below it, it stops once the
-    defect fails to halve, where rounding ends the gain.  Returns each
-    start's best vector in canonical form and its defect.
+    ``_NEWTON_STEPS`` steps; J is ``w @ Sj.T`` for ``plan``, the
+    :func:`_jacobian_plan`, and w the degree-(m-2) monomials of x.  The
+    defect of a start is max|F| over max|x|^(m-1), the :func:`residual` of
+    x.  A start above ``target`` steps on while its defect is finite; below
+    it, it stops once the defect fails to halve, where rounding ends the
+    gain.  Returns each start's best vector in canonical form and its
+    defect.
     """
+    Sj, steps = plan
     k, n = X.shape
     X = X.copy()
     pin = np.argmax(np.abs(X), axis=1)
@@ -784,10 +786,8 @@ def _newton(jac, m, X, target, counts):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(_NEWTON_STEPS + 1):
             x = X[live]
-            W = np.ones((live.size, 1))
-            for _ in range(m - 2):
-                W = (W[:, :, None] * x[:, None, :]).reshape(live.size, -1)
-            J = (W @ jac.T).reshape(-1, n, n)
+            W = _monomials(x.T, steps).T if m > 2 else np.ones((live.size, 1))
+            J = (W @ Sj.T).reshape(-1, n, n)
             Z = (J @ x[:, :, None])[:, :, 0] / (m - 1)
             XM = _power(x, m - 1)
             if step == 0:

@@ -228,6 +228,21 @@ class TestFailurePaths:
         last = json.loads(err)
         assert last["error"] == "input" and "cap" in last["detail"]
 
+    @pytest.mark.parametrize("verb, payload", [
+        ("classify", {"order": 100, "dim": 1, "dense": [1.0]}),
+        ("classify", {"order": 100, "dim": 1, "sparse": []}),
+        ("laplacian", {"n": 1, "m": 70, "edges": []}),
+    ], ids=["dense", "sparse", "laplacian"])
+    def test_order_beyond_numpy_axes_exits_2(self, capsys, tmp_path, verb, payload):
+        # 1**order is within the cap, but no array holds that many axes
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_main(capsys, [verb, str(path)])
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        last = json.loads(line)
+        assert last["error"] == "input" and "order must be at most 32" in last["detail"]
+
     def test_method_tensor_mismatch_exits_3(self, capsys, ones43_path):
         code, _, err = run_main(capsys, ["intervals", "--method", "odd-n2",
                                          ones43_path])

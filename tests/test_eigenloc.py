@@ -241,15 +241,16 @@ class TestLaplacian:
         with pytest.raises(bt.InputError, match="integer"):
             bt.Hypergraph(3, 2, [(1.0, 2)])
 
-    def test_entry_cap_is_the_tensor_header_check(self):
+    def test_entry_cap_is_the_tensor_header_check(self, monkeypatch):
         # n**m is refused before it is computed, as for a tensor header
         with pytest.raises(bt.InputError, match="dim 10 and order 3000000 needs more entries "
                            "than the cap of 100000000"):
             bt.laplacian_tensor(bt.Hypergraph(10, 3_000_000, []))
         with pytest.raises(bt.InputError, match="needs 1000000000 entries, above the cap"):
             bt.laplacian_tensor(bt.Hypergraph(10, 9, []))
+        monkeypatch.setattr(bt.core, "DEFAULT_ENTRY_CAP", 999)
         with pytest.raises(bt.InputError, match="needs 1000 entries, above the cap of 999"):
-            bt.laplacian_tensor(bt.Hypergraph(10, 3, []), entry_cap=999)
+            bt.laplacian_tensor(bt.Hypergraph(10, 3, []))
 
     def test_json_round_trip(self):
         G = bt.Hypergraph(4, 3, [(1, 2, 4)])

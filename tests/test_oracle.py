@@ -443,15 +443,15 @@ class TestNewtonFinish:
                 assert p.residual <= bound
                 assert bt.residual(A, p.lam, p.x) <= bound
 
-    @pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (4, 3), (5, 2)])
-    def test_jacobian_rows_match_finite_differences(self, m, n):
+    @pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (4, 3), (5, 2), (8, 3)])
+    def test_jacobian_plan_matches_finite_differences(self, m, n):
         rng = np.random.default_rng(72 + m)
         A = random_tensor(rng, m, n)
         x = rng.uniform(-1.0, 1.0, size=n)
-        w = np.ones(1)
-        for _ in range(m - 2):
-            w = np.multiply.outer(w, x).ravel()
-        J = (w @ oracle._jacobian_rows(A.array.reshape(n, -1), m).T).reshape(n, n)
+        Sj, steps = oracle._jacobian_plan(*oracle._monomial_plan(A.array.reshape(n, -1), m))
+        assert Sj.shape == (n * n, math.comb(n + m - 3, m - 2))
+        w = oracle._monomials(x[:, None], steps)[:, 0] if m > 2 else np.ones(1)
+        J = (w @ Sj.T).reshape(n, n)
         h = 1e-6
         numeric = np.column_stack([
             (bt.contract(A, x + h * e) - bt.contract(A, x - h * e)) / (2 * h)
@@ -1026,3 +1026,128 @@ def test_sweeps_on_either_side_of_53_components_are_bitwise_the_reference(monkey
     _assert_same_sweep(*_both_sweeps(oracle._monomial_plan(rows, 2), 2,
                                      _fresh_batch(rows, starts), 1e-8, oracle._HANDOFF,
                                      oracle.SearchCounts()))
+
+
+# ---------------------------------------------------------------------------
+# Newton's method against its form on n**(m-2) ordered products of x
+
+def _reference_jacobian_rows(rows, m):
+    """The matrix ``S`` of shape (n*n, n**(m-2)) such that ``w @ S.T``,
+    for ``w`` the (m-2)-fold products of the components of x, is the
+    Jacobian of ``A x^(m-1)`` flattened row-major.  ``S`` is the sum of A
+    with each of its last m-1 axes in turn moved to second place; on such
+    products it acts as (m-1) times A symmetrized over its last m-1
+    indices, at m-1 instead of (m-1)! terms."""
+    n = rows.shape[0]
+    arr = rows.reshape((n,) * m)
+    S = arr.copy()
+    for axis in range(2, m):
+        S += np.moveaxis(arr, axis, 1)
+    return S.reshape(n * n, -1)
+
+
+def _reference_newton(jac, m, X, target, counts):
+    """Newton's method with the Jacobian of :func:`_reference_jacobian_rows`
+    times every ordered (m-2)-fold product of x.  At m = 3 both products
+    are x itself and each Jacobian entry the same two-term sum, so
+    ``oracle._newton`` must match it bitwise there."""
+    k, n = X.shape
+    X = X.copy()
+    pin = np.argmax(np.abs(X), axis=1)
+    last = np.full(k, np.inf)
+    best, best_X = np.full(k, np.inf), X.copy()
+    live = np.arange(k)
+    diag = np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(oracle._NEWTON_STEPS + 1):
+            x = X[live]
+            W = np.ones((live.size, 1))
+            for _ in range(m - 2):
+                W = (W[:, :, None] * x[:, None, :]).reshape(live.size, -1)
+            J = (W @ jac.T).reshape(-1, n, n)
+            Z = (J @ x[:, :, None])[:, :, 0] / (m - 1)
+            XM = oracle._power(x, m - 1)
+            if step == 0:
+                lam = (Z * XM).sum(axis=1) / (XM * XM).sum(axis=1)
+            F = Z - lam[live, None] * XM
+            defect = np.max(np.abs(F), axis=1) / np.max(np.abs(x), axis=1) ** (m - 1)
+
+            improved = defect < best[live]
+            best[live[improved]] = defect[improved]
+            best_X[live[improved]] = x[improved]
+            go = (((defect < 0.5 * last[live]) | ~(best[live] <= target))
+                  & (defect > 0.0) & np.isfinite(defect))
+            last[live] = defect
+            if step == oracle._NEWTON_STEPS or not go.any():
+                break
+            live, x, J, F, XM = live[go], x[go], J[go], F[go], XM[go]
+            J[:, diag, diag] -= (m - 1) * lam[live, None] * oracle._power(x, m - 2)
+            idx = np.arange(live.size)
+            J[idx, :, pin[live]] = -XM
+            d = oracle._bordered_solve(J, -F)
+            counts.newton_steps += 1
+            lam[live] += d[idx, pin[live]]
+            d[idx, pin[live]] = 0.0
+            X[live] = x + d
+    return oracle._canonical_rows(best_X), best
+
+
+class TestNewtonMatchesReference:
+    CASES = {"z-3-4": lambda rng: random_z(rng, 3, 4),
+             "symmetric-3-3": lambda rng: random_symmetric(rng, 3, 3),
+             "b-3-4": lambda rng: random_b(rng, 3, 4),
+             "tensor-3-5": lambda rng: random_tensor(rng, 3, 5),
+             # its search resumes a start and so runs Newton's method twice
+             "laplacian-6-3": lambda rng: bt.laplacian_tensor(
+                 random_hypergraph(np.random.default_rng(74), 6, 3))}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_order_3_runs_are_bitwise_the_reference(self, monkeypatch, case):
+        # each Newton run of a search, on the starts it was handed
+        A = self.CASES[case](np.random.default_rng(96))
+        runs, inner = [], oracle._newton
+
+        def recording(plan, m, X, target, counts):
+            runs.append((plan, X.copy(), target))
+            return inner(plan, m, X, target, counts)
+
+        monkeypatch.setattr(oracle, "_newton", recording)
+        bt.search_report(A, restarts=64, seed=4)
+        assert runs
+        jac = _reference_jacobian_rows(A.array.reshape(A.dim, -1), 3)
+        for plan, X, target in runs:
+            got, want = oracle.SearchCounts(), oracle.SearchCounts()
+            gx, gd = inner(plan, 3, X, target, got)
+            wx, wd = _reference_newton(jac, 3, X, target, want)
+            assert (gx.tobytes(), gd.tobytes()) == (wx.tobytes(), wd.tobytes())
+            assert got.newton_steps == want.newton_steps
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_order_3_searches_are_bitwise_the_reference(self, monkeypatch, case):
+        A = self.CASES[case](np.random.default_rng(96))
+        pairs, counts = bt.search_report(A, restarts=64, seed=4)
+        assert counts.handed_off
+        jac = _reference_jacobian_rows(A.array.reshape(A.dim, -1), 3)
+        monkeypatch.setattr(oracle, "_newton", lambda plan, m, X, target, counts:
+                            _reference_newton(jac, m, X, target, counts))
+        want_pairs, want_counts = bt.search_report(A, restarts=64, seed=4)
+        assert repr(counts) == repr(want_counts)
+        assert _bits(pairs) == _bits(want_pairs)
+
+    def test_order_8_dim_3_monomials_stay_within_the_batch(self, monkeypatch):
+        # every start hands off; Newton's monomials are the C(8, 6) = 28 of
+        # degree 6, where the ordered products were 3**6 = 729, and the
+        # pass's are the C(9, 7) = 36 of degree 7
+        A = bt.Tensor.from_array(np.random.default_rng(0).random((3,) * 8))
+        shapes, inner = [], oracle._monomials
+
+        def recording(X, steps):
+            M = inner(X, steps)
+            shapes.append(M.shape)
+            return M
+
+        monkeypatch.setattr(oracle, "_monomials", recording)
+        _, counts = bt.search_report(A, restarts=64, seed=0)
+        assert counts.handed_off == 128
+        assert {rows for rows, _ in shapes} == {28, 36}
+        assert (28, 128) in shapes

@@ -40,14 +40,23 @@ class TestConstruction:
         with pytest.raises(bt.InputError):
             bt.Tensor(1, 3, [1.0, 2.0, 3.0])
 
-    def test_entry_cap(self):
+    def test_entry_cap(self, monkeypatch):
+        monkeypatch.setattr(core, "DEFAULT_ENTRY_CAP", 9999)
         with pytest.raises(bt.InputError):
-            bt.Tensor(4, 10, np.zeros(10**4), entry_cap=9999)
+            bt.Tensor(4, 10, np.zeros(10**4))
 
     def test_entries_are_immutable(self):
         A = bt.Tensor.ones(3, 2)
         with pytest.raises(ValueError):
             A.array[0, 0, 0] = 5.0
+
+    def test_equal_tensors_hash_equal(self):
+        # -0.0 == 0.0, so tensors apart only in the signs of zeros are equal
+        a = bt.Tensor(2, 2, [0.0, 1.0, 1.0, 0.0])
+        b = bt.Tensor(2, 2, [-0.0, 1.0, 1.0, -0.0])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        c = bt.Tensor(2, 2, [0.0, 1.0, 1.0, 1e-300])
+        assert len({a, b, c, bt.Tensor(4, 1, [0.0])}) == 3
 
     def test_input_is_copied(self):
         entries = np.ones((2, 2, 2))
@@ -124,7 +133,7 @@ class TestJson:
 
     @pytest.mark.parametrize("header", [
         {"order": 1, "dim": 2}, {"order": 2, "dim": 0}, {"order": 4, "dim": 200},
-        {"order": "2", "dim": 2}, {"order": 2, "dim": True},
+        {"order": "2", "dim": 2}, {"order": 2, "dim": True}, {"order": 33, "dim": 1},
     ])
     def test_sparse_and_dense_share_the_header_check(self, header):
         messages = []
