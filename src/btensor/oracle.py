@@ -13,7 +13,9 @@ outcome.  The search hands each start whose defect falls below
 ``_HANDOFF`` to Newton's method, run on all such starts at once as a
 stack of bordered n x n solves (see :func:`_batched_fixed_point`), so
 pairs on simple eigenvalues are solved to rounding level, and starts
-that found the same pair merge in the dedupe.
+that found the same pair merge in the dedupe.  A start that Newton's
+method fails restarts the fixed point from its start with the handoff
+off, as the plain fixed point runs it.
 
 The fixed point contracts the tensor with x^(m-1) through its
 symmetrization over the last m-1 indices, which gives the same vector:
@@ -347,14 +349,15 @@ class SearchCounts:
     """What one :func:`eigen_search` did, start by start.
 
     Of the 2 * ``restarts`` starts, ``handed_off`` left the fixed point for
-    Newton's method, which ``polished`` of them; the other ``resumed`` went
-    back to the fixed point from where they left it.  Every start that
-    stays in the fixed point ends as one of ``converged`` (defect within
-    0.9 tol), ``stalled`` (no gain in 200 steps, or out of steps) or
-    ``degenerate`` (the iterate left the float range or vanished).
-    ``halvings`` counts the times a start's shift was halved, ``passes``
-    the passes of the fixed-point loop over its batch and
-    ``newton_steps`` the stacked bordered solves of both Newton runs;
+    Newton's method, which ``polished`` of them; the other ``resumed``
+    restarted the fixed point from their start with the handoff off, as
+    the plain fixed point runs it.  Every start that ends in the fixed
+    point ends as one of ``converged`` (defect within 0.9 tol), ``stalled``
+    (no gain in 200 steps, or out of steps) or ``degenerate`` (the iterate
+    left the float range or vanished).  ``halvings`` counts the times a
+    start's shift was halved, ``passes`` the passes of the fixed-point
+    loop over its batch and ``newton_steps`` the stacked bordered solves of
+    both Newton runs;
     ``pairs_found`` is the number of starts whose vector passed the
     residual check, ``pairs`` the number of pairs after the dedupe, and
     ``starts_per_pair``, aligned with the returned pairs, how many of those
@@ -523,28 +526,6 @@ def _monomials(X, steps):
     return M
 
 
-@dataclass
-class _Starts:
-    """Fixed-point state of a batch of starts: one column per start in the
-    (n, k) arrays ``X`` and ``best_X``, one entry per start in the others."""
-
-    X: np.ndarray
-    signs: np.ndarray
-    order: np.ndarray
-    alpha: np.ndarray
-    prev: np.ndarray
-    best_res: np.ndarray
-    best_X: np.ndarray
-    #: passes since the start last improved
-    idle: np.ndarray
-    #: passes the start has taken
-    age: np.ndarray
-
-    def take(self, idx):
-        """The starts at the indices ``idx``."""
-        return _Starts(*_taken(idx, *vars(self).values()))
-
-
 def _batched_fixed_point(rows, signs, m, starts, alpha0, tol, counts):
     """Run the shifted fixed-point iteration on all starts at once, and
     finish the near-converged ones by Newton's method.
@@ -554,63 +535,61 @@ def _batched_fixed_point(rows, signs, m, starts, alpha0, tol, counts):
     ``_MAX_STEPS`` steps.  A start leaves the batch as soon as its defect is
     below ``_HANDOFF``.  When the batch is empty, all starts that left are
     polished in one stacked Newton run (:func:`_newton`).  A start whose
-    Newton run does not reach the fixed point's own bar, a defect within
-    0.9 tol, goes back to the fixed point from the state it left it in,
-    with the handoff off, and goes on as it would have without the handoff.
-    The vectors that the fixed point finishes that way, and those that
-    Newton's method brought within 0.9 tol but not to ``_POLISH * max|a|``,
-    get a second stacked Newton run, which keeps a vector only where it
-    ends within 0.9 tol.  Returns the polished and the converged/best
-    vectors (defect within ``tol``) in start order; ``counts``, a
-    :class:`SearchCounts`, tallies what each start did.
+    Newton run does not reach a defect within 0.9 tol, the fixed point's
+    bar, restarts the fixed point from its start with the handoff off, as
+    the plain fixed point runs it.  What the fixed point finishes that way,
+    and the vectors that Newton's method brought within 0.9 tol but not to
+    ``_POLISH * max|a|``, get a second stacked Newton run, which keeps a
+    vector only where it ends within 0.9 tol.  Returns the polished and the
+    converged/best vectors (defect within ``tol``) in start order;
+    ``counts``, a :class:`SearchCounts`, tallies what each start did.
     """
-    k = starts.shape[1]
-    batch = _Starts(X=starts.copy(), signs=signs, order=np.arange(k),
-                    alpha=np.full(k, alpha0), prev=np.full(k, np.inf),
-                    best_res=np.full(k, np.inf), best_X=starts.copy(),
-                    idle=np.zeros(k, dtype=int), age=np.zeros(k, dtype=int))
     plan = _monomial_plan(rows, m)
-    finished, handed = _sweep(plan, m, batch, tol, _HANDOFF, counts)
-    counts.handed_off = handed.order.size
-    if handed.order.size:
-        jac, target = _jacobian_plan(*plan), _POLISH * float(np.abs(rows).max())
-        X, defect = _newton(jac, m, handed.X.T, target, counts)
-        polished = defect <= 0.9 * tol
-        counts.polished = int(polished.sum())
-        counts.resumed = counts.handed_off - counts.polished
-        finished.update(zip(handed.order[polished], X[polished]))
-        rough = polished & (defect > target)
-        resumed, _ = _sweep(plan, m, handed.take(np.flatnonzero(~polished)), tol, 0.0, counts)
-        again = {**dict(zip(handed.order[rough], X[rough])), **resumed}
-        if again:
-            # from within tol, a second run polishes what the first left rough
-            # or the fixed point finished; it never ends worse than it starts
-            order = np.array(list(again))
-            X, defect = _newton(jac, m, np.array(list(again.values())), target, counts)
-            finished.update(again)
-            better = defect <= 0.9 * tol
-            finished.update(zip(order[better], X[better]))
+    # overflow makes the inf and NaN that retire a start: no warning for it
+    with np.errstate(over="ignore", invalid="ignore"):
+        finished, (handed, X) = _sweep(plan, m, starts, signs, np.arange(starts.shape[1]),
+                                       alpha0, tol, _HANDOFF, counts)
+        counts.handed_off = handed.size
+        if handed.size:
+            jac, target = _jacobian_plan(*plan), _POLISH * float(np.abs(rows).max())
+            X, defect = _newton(jac, m, X.T, target, counts)
+            polished = defect <= 0.9 * tol
+            counts.polished = int(polished.sum())
+            counts.resumed = counts.handed_off - counts.polished
+            finished.update(zip(handed[polished], X[polished]))
+            rough = polished & (defect > target)
+            failed = handed[~polished]
+            restarted, _ = _sweep(plan, m, starts[:, failed], signs[failed], failed, alpha0,
+                                  tol, 0.0, counts)
+            again = {**dict(zip(handed[rough], X[rough])), **restarted}
+            if again:
+                # from within tol, a second run polishes what the first left rough
+                # or the fixed point finished; it never ends worse than it starts
+                order = np.array(list(again))
+                X, defect = _newton(jac, m, np.array(list(again.values())), target, counts)
+                finished.update(again)
+                better = defect <= 0.9 * tol
+                finished.update(zip(order[better], X[better]))
     return [finished[i] for i in sorted(finished)]
 
 
-def _sweep(plan, m, batch, tol, handoff, counts):
-    """Iterate ``batch`` until every start has converged, stalled,
-    degenerated, run out of steps or been handed off (defect below
-    ``handoff``).  ``plan`` is the :func:`_monomial_plan` of the tensor.
-    Returns ``finished``, the best vector of each retired start whose best
-    defect is within ``tol``, keyed by its start index in retirement order,
-    and the handed-off starts, their state as it was before the step that
-    handed them off, so that a sweep of them repeats that step first.
+def _sweep(plan, m, X, signs, order, alpha0, tol, handoff, counts):
+    """Iterate the starts, the columns of ``X``, from shift ``alpha0`` until
+    each has converged, stalled, degenerated, run out of steps or been
+    handed off (defect below ``handoff``); start ``i`` iterates on the
+    :func:`_monomial_plan` ``plan`` times ``signs[i]``, and ``order[i]`` is
+    its start index.  Returns ``finished``, the best vector of each retired
+    start whose best defect is within ``tol``, keyed by its start index in
+    retirement order, and the hand-off: the handed-off starts' indices and
+    their vectors from before the step that handed them off.
 
-    The loop holds the batch in local arrays and keeps one pass clock,
-    ``t``, the value of ``counts.passes`` during a pass.  Each start stores
-    the pass of its last gain, ``gain``, and the pass at which its age was
-    0, ``born``: its ``idle`` is ``t - gain`` and its ``age`` is
-    ``t - born``, as the hand-off record gives them back.  The converged
-    and degenerate tests run on every pass; the ``_STALL`` and
-    ``_MAX_STEPS`` limits are tested only from pass ``due`` on, the
-    earliest pass at which some start could reach one of them, which is
-    recomputed after each test and each compaction."""
+    The loop keeps one pass clock, ``t``, the value of ``counts.passes``
+    during a pass.  Each start stores the pass of its last gain, ``gain``;
+    all start in the sweep's first pass, so all run out of steps at pass
+    ``limit``.  The converged and degenerate tests run on every pass; the
+    ``_STALL`` and ``_MAX_STEPS`` limits are tested only from pass ``due``
+    on, the earliest pass at which some start could reach one of them,
+    which is recomputed after each test and each compaction."""
     # the numpy callables of every pass, looked up once per sweep; their
     # reductions take the axis positionally, which skips a keyword parse
     add_reduce, max_reduce, fmin_reduce = np.add.reduce, np.maximum.reduce, np.fmin.reduce
@@ -620,17 +599,18 @@ def _sweep(plan, m, batch, tol, handoff, counts):
     S, steps = plan
     power = 1.0 / (m - 1)
     bar = 0.9 * tol
-    stall, last_step = _STALL, _MAX_STEPS - 1
-    finished, handed = {}, [batch.take([])]
-    X, signs, order, alpha, prev = batch.X, batch.signs, batch.order, batch.alpha, batch.prev
-    best_res, best_X = batch.best_res, batch.best_X
+    k = X.shape[1]
+    alpha, prev, best_res = np.full(k, alpha0), np.full(k, np.inf), np.full(k, np.inf)
+    best_X = X.copy()
+    finished, handed = {}, [_taken([], order, X)]
     t = counts.passes
-    gain, born = (t + 1) - batch.idle, (t + 1) - batch.age
+    stall, limit = _STALL, t + _MAX_STEPS
+    gain = np.full(k, t + 1)
     # the sign of a column's first nonzero component is that of its signs
     # weighted by 2**-i, as each weight outweighs all those after it; up to
     # 53 components every partial sum of the dot is exact
     weights = 0.5 ** np.arange(X.shape[0]) if X.shape[0] <= 53 else None
-    due = _due(gain, born, stall, last_step)
+    due = _due(gain, stall, limit)
     halvings = 0
     while order.size:
         t += 1
@@ -651,15 +631,14 @@ def _sweep(plan, m, batch, tol, handoff, counts):
 
         if low < handoff:
             hand = res < handoff
-            handed.append(_Starts(*_taken(np.flatnonzero(hand), X, signs, order, alpha, prev,
-                                          best_res, best_X, t - gain, t - born)))
+            handed.append(_taken(np.flatnonzero(hand), order, X))
             stay = np.flatnonzero(~hand)
             if not stay.size:
                 break
-            (X, Z, XM, res, signs, order, alpha, prev, best_res, best_X, gain,
-             born) = _taken(stay, X, Z, XM, res, signs, order, alpha, prev, best_res, best_X,
-                            gain, born)
-            due = _due(gain, born, stall, last_step)
+            (X, Z, XM, res, signs, order, alpha, prev, best_res, best_X,
+             gain) = _taken(stay, X, Z, XM, res, signs, order, alpha, prev, best_res, best_X,
+                            gain)
+            due = _due(gain, stall, limit)
 
         improved = res < best_res * (1.0 - 1e-6)
         if count_nonzero(improved):
@@ -697,7 +676,7 @@ def _sweep(plan, m, batch, tol, handoff, counts):
                 or not scale.dot(scale) < math.inf):
             converged = res <= bar
             sound = np.isfinite(scale) & (scale > 0.0)
-            retire = converged | ~sound | (gain < t - stall) | (born <= t - last_step)
+            retire = converged | ~sound | (gain < t - stall) | (t >= limit)
             if count_nonzero(retire):
                 done = int(count_nonzero(converged))
                 degenerate = int(count_nonzero(~sound & ~converged))
@@ -707,10 +686,10 @@ def _sweep(plan, m, batch, tol, handoff, counts):
                 for i in np.nonzero(retire & (best_res <= tol))[0]:
                     finished[order[i]] = best_X[:, i]
                 keep = np.flatnonzero(~retire)
-                (Xn, scale, signs, order, alpha, prev, best_res, best_X, gain,
-                 born) = _taken(keep, Xn, scale, signs, order, alpha, prev, best_res, best_X,
-                                gain, born)
-            due = _due(gain, born, stall, last_step)
+                (Xn, scale, signs, order, alpha, prev, best_res, best_X,
+                 gain) = _taken(keep, Xn, scale, signs, order, alpha, prev, best_res, best_X,
+                                gain)
+            due = _due(gain, stall, limit)
         # divide each column by its scale, its first nonzero component made
         # positive, as _scaled_columns does; every column left has one
         if weights is None:
@@ -720,8 +699,7 @@ def _sweep(plan, m, batch, tol, handoff, counts):
         X = divide(Xn, copysign(scale, first), out=Xn)
     counts.passes = t
     counts.halvings += int(halvings)
-    return finished, _Starts(*(np.concatenate(v, axis=-1)
-                               for v in zip(*(vars(h).values() for h in handed))))
+    return finished, [np.concatenate(v, axis=-1) for v in zip(*handed)]
 
 
 def _taken(idx, *arrays):
@@ -729,13 +707,13 @@ def _taken(idx, *arrays):
     return [v.take(idx, axis=-1) for v in arrays]
 
 
-def _due(gain, born, stall, last_step):
-    """The first pass at which a start with last gain ``gain`` and birth
-    pass ``born`` can exceed ``stall`` idle passes or reach ``last_step``
-    passes; 0 for no starts."""
+def _due(gain, stall, limit):
+    """The first pass at which a start with last gain ``gain`` can exceed
+    ``stall`` idle passes, or ``limit`` if that comes first; 0 for no
+    starts."""
     if not gain.size:
         return 0
-    return min(int(np.minimum.reduce(gain)) + stall + 1, int(np.minimum.reduce(born)) + last_step)
+    return min(int(np.minimum.reduce(gain)) + stall + 1, limit)
 
 
 def _jacobian_plan(S, steps):
@@ -832,9 +810,9 @@ def _bordered_solve(J, F):
 
 def _dedupe_sort(items):
     """Collapse the (pair, repeats) ``items`` whose pairs are equal within the
-    dedupe tolerance in both the eigenvalue and the direction, preferring
-    the smallest residual.  Returns the kept pairs, sorted, and a tuple
-    aligned with them of the repeats that each one absorbed.
+    dedupe tolerance in the direction and, relative to max(1, |lambda|), in
+    the eigenvalue, keeping the smallest residual.  Returns the kept pairs,
+    sorted, and a tuple aligned with them of the repeats each one absorbed.
 
     The sort is stable, so of two pairs with tied sort keys (0.0 and -0.0
     components) the first given is compared first; as the two are equal in
@@ -843,7 +821,7 @@ def _dedupe_sort(items):
     kept, merged = [], []
     for p, repeats in ordered:
         for slot, q in enumerate(kept):
-            if (abs(p.lam - q.lam) <= _DEDUPE_TOL
+            if (abs(p.lam - q.lam) <= _DEDUPE_TOL * max(1.0, abs(p.lam), abs(q.lam))
                     and np.max(np.abs(p.x - q.x)) <= _DEDUPE_TOL):
                 if p.residual < q.residual:
                     kept[slot] = p

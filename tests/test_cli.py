@@ -500,6 +500,22 @@ class TestNearOverflow:
                                 capture_output=True, text=True)
         assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
+    def test_search_near_1e160_writes_nothing_on_stderr(self, tmp_path):
+        # the search's pass overflows without a RuntimeWarning, and the
+        # starts that reached the eigenpair near 1.2449e160, 64 pairs at an
+        # absolute 1e-9 on lambda, make one; x and -x of the -1e160 pair
+        # differ in a 1e-11 noise component and stay two
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(
+            {"order": 2, "dim": 3, "dense": [1e160, 2e159, 0, 3e159, 1e160, 0, 0, 0, -1e160]}))
+        result = subprocess.run(
+            [sys.executable, "-m", "btensor.cli", "oracle", "--tol", "1e150", str(path)],
+            capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, "")
+        pairs = json.loads(result.stdout, parse_constant=_strict)
+        assert 0 < len(pairs) <= 3
+        assert sum(abs(p["lambda"] - 1.2449e160) <= 1e-4 * 1.2449e160 for p in pairs) == 1
+
     def test_oracle_on_overflowing_shift_exits_3(self, tmp_path):
         # the search (dim 8) and the dim-2 solver refuse alike, and the error
         # line is all a process writes on stderr: no RuntimeWarning

@@ -4,6 +4,8 @@ import json
 import math
 import subprocess
 import sys
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -387,6 +389,20 @@ class TestEigenSearch:
         assert bt.eigen_search(bt.Tensor.ones(4, 3), restarts=8, seed=0)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("m, family, scale", [
+        (2, "uniform", 1e160), (2, "full", 0.33e308), (3, "uniform", 1e300),
+        (4, "uniform", 1e300)])
+    def test_entries_near_dbl_max_warn_of_nothing(self, m, family, scale):
+        # the pass overflows by design where an iterate or the sum of its
+        # scales' squares leaves the float range: that retires a start or
+        # sends the pass to the full test, and warns of nothing
+        rng = np.random.default_rng(0)
+        arr = (rng.uniform(-1.0, 1.0, (3,) * m) if family == "uniform"
+               else np.ones((3,) * m)) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bt.search_report(bt.Tensor.from_array(arr))
+
     def test_results_reverify(self):
         rng = np.random.default_rng(35)
         for _ in range(10):
@@ -496,9 +512,9 @@ class TestNewtonFinish:
         lambda rng: random_symmetric(rng, 4, 3),
     ], ids=["identity", "ones", "laplacian", "z", "symmetric"])
     def test_failed_newton_runs_end_as_the_plain_fixed_point(self, monkeypatch, make):
-        # a start whose Newton run fails resumes the fixed point from where it
-        # left; with every run failing, the search finds what the fixed point
-        # alone finds (no handoff)
+        # a start whose Newton run fails restarts the fixed point from its
+        # start with the handoff off; with every run failing, the search finds
+        # what the fixed point alone finds (no handoff)
         A = make(np.random.default_rng(75))
         monkeypatch.setattr(oracle, "_HANDOFF", 0.0)
         plain = bt.eigen_search(A, restarts=8, seed=5)
@@ -592,6 +608,21 @@ class TestSearchReport:
         kept, merged = oracle._dedupe_sort(items)
         assert [(p.lam, p.residual) for p in kept] == [(1.0, 1e-12), (2.0 + 1e-12, 1e-14)]
         assert merged == (2, 5)
+
+    def test_dedupe_compares_eigenvalues_relative_to_their_size(self):
+        # near 1e160 one ulp of lambda is about 1e144: the absolute 1e-9 kept
+        # each bit pattern apart, the relative one merges pairs within 1e-9
+        # of the larger magnitude and keeps those beyond it
+        x = np.array([1.0, 0.5])
+        lam = 1.2449e160
+        items = [(oracle.EigenPair(lam, x, 1e150), 2),
+                 (oracle.EigenPair(lam * (1.0 + 1e-12), x, 1e149), 3),
+                 (oracle.EigenPair(-lam * (1.0 - 1e-10), x, 1e150), 1),
+                 (oracle.EigenPair(-lam, x, 1e150), 1),
+                 (oracle.EigenPair(lam * (1.0 + 1e-8), x, 1e150), 1)]
+        kept, merged = oracle._dedupe_sort(items)
+        assert [p.lam for p in kept] == [-lam, lam * (1.0 + 1e-12), lam * (1.0 + 1e-8)]
+        assert merged == (2, 5, 1)
 
     def test_dedupe_keeps_the_first_of_tied_pairs(self):
         # -0.0 == 0.0, so the sort keys tie and the first pair given stands
@@ -757,7 +788,7 @@ def _reference_dedupe_sort(pairs):
     kept, merged = [], []
     for p in ordered:
         for slot, q in enumerate(kept):
-            if (abs(p.lam - q.lam) <= oracle._DEDUPE_TOL
+            if (abs(p.lam - q.lam) <= oracle._DEDUPE_TOL * max(1.0, abs(p.lam), abs(q.lam))
                     and np.max(np.abs(p.x - q.x)) <= oracle._DEDUPE_TOL):
                 merged[slot] += 1
                 if p.residual < q.residual:
@@ -825,20 +856,48 @@ class TestDedupeMatchesReference:
 
 
 # ---------------------------------------------------------------------------
-# the fixed-point pass against a plain one over the _Starts fields
+# the fixed-point pass against a plain one over per-start state
 
 def _reference_power(X, p):
     Y = np.abs(X) ** p
     return Y if p % 2 == 0 else np.copysign(Y, X)
 
 
-def _reference_sweep(plan, m, batch, tol, handoff, counts):
-    """The fixed-point pass in its plain form: a loop over the ``_Starts``
-    fields, with an idle and an age counter per start and every limit
-    tested on every pass.  ``oracle._sweep`` must match it bitwise."""
+@dataclass
+class _ReferenceStarts:
+    """Fixed-point state of a batch of starts: one column per start in the
+    (n, k) arrays ``X`` and ``best_X``, one entry per start in the others."""
+
+    X: np.ndarray
+    signs: np.ndarray
+    order: np.ndarray
+    alpha: np.ndarray
+    prev: np.ndarray
+    best_res: np.ndarray
+    best_X: np.ndarray
+    #: passes since the start last improved
+    idle: np.ndarray
+    #: passes the start has taken
+    age: np.ndarray
+
+    def take(self, idx):
+        """The starts at the indices ``idx``."""
+        return _ReferenceStarts(*(v.take(idx, axis=-1) for v in vars(self).values()))
+
+
+def _reference_sweep(plan, m, X, signs, order, alpha0, tol, handoff, counts):
+    """The fixed-point pass in its plain form: a loop over the
+    ``_ReferenceStarts`` fields, with an idle and an age counter per start
+    and every limit tested on every pass.  ``oracle._sweep`` must match it
+    bitwise."""
     S, steps = plan
     power = 1.0 / (m - 1)
-    finished, handed = {}, [batch.take([])]
+    k = X.shape[1]
+    batch = _ReferenceStarts(X=X, signs=signs, order=order, alpha=np.full(k, alpha0),
+                             prev=np.full(k, np.inf), best_res=np.full(k, np.inf),
+                             best_X=X.copy(), idle=np.zeros(k, dtype=int),
+                             age=np.zeros(k, dtype=int))
+    finished, handed = {}, [(order[:0], X[:, :0])]
     while batch.order.size:
         counts.passes += 1
         X = batch.X
@@ -852,7 +911,7 @@ def _reference_sweep(plan, m, batch, tol, handoff, counts):
         if handoff:
             hand = res < handoff
             if np.count_nonzero(hand):
-                handed.append(batch.take(np.flatnonzero(hand)))
+                handed.append((batch.order[hand], X[:, hand]))
                 stay = np.flatnonzero(~hand)
                 batch, X, Z, XM, res = (batch.take(stay), X.take(stay, axis=1),
                                         Z.take(stay, axis=1), XM.take(stay, axis=1),
@@ -894,31 +953,28 @@ def _reference_sweep(plan, m, batch, tol, handoff, counts):
         batch.X = oracle._scaled_columns(Xn, scale)
         batch.idle += 1
         batch.age += 1
-    return finished, oracle._Starts(*(np.concatenate(v, axis=-1)
-                                      for v in zip(*(vars(h).values() for h in handed))))
+    orders, vectors = zip(*handed)
+    return finished, (np.concatenate(orders), np.concatenate(vectors, axis=1))
 
 
-def _fresh_batch(rows, starts):
-    """The batch ``_batched_fixed_point`` builds: each column of ``starts``
-    once on A and once on -A."""
+def _fresh_starts(starts):
+    """The (X, signs, order) that ``_batched_fixed_point`` sweeps first:
+    each column of ``starts`` once on A and once on -A."""
     X = np.hstack([starts, starts])
     k = X.shape[1]
-    return oracle._Starts(X=X.copy(), signs=np.repeat([1.0, -1.0], k // 2),
-                          order=np.arange(k), alpha=np.full(k, oracle._spectral_bound(rows)),
-                          prev=np.full(k, np.inf), best_res=np.full(k, np.inf),
-                          best_X=X.copy(), idle=np.zeros(k, dtype=int),
-                          age=np.zeros(k, dtype=int))
+    return X, np.repeat([1.0, -1.0], k // 2), np.arange(k)
 
 
-def _both_sweeps(plan, m, batch, tol, handoff, counts):
+def _both_sweeps(plan, m, batch, alpha0, tol, handoff, counts):
     """``(finished, handed, counts)`` of the pass under test and of the
-    reference, each run on its own copy of ``batch`` and ``counts``."""
+    reference, each run on its own copy of the (X, signs, order) ``batch``
+    and of ``counts``."""
     out = []
     for sweep in (oracle._sweep, _reference_sweep):
-        own = oracle._Starts(*(v.copy() for v in vars(batch).values()))
+        own = [v.copy() for v in batch]
         tally = oracle.SearchCounts(**vars(counts))
         with np.errstate(all="ignore"):
-            finished, handed = sweep(plan, m, own, tol, handoff, tally)
+            finished, handed = sweep(plan, m, *own, alpha0, tol, handoff, tally)
         out.append((finished, handed, tally))
     return out
 
@@ -928,9 +984,9 @@ def _assert_same_sweep(got, want):
     assert list(f1) == list(f2)
     assert all(type(a) is type(b) for a, b in zip(f1, f2))
     assert all(f1[i].tobytes() == f2[i].tobytes() for i in f1)
-    for name, a in vars(h1).items():
-        b = getattr(h2, name)
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    # the hand-off's start indices and vectors
+    for a, b in zip(h1, h2, strict=True):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
     # repr also compares the types of the counts
     assert repr(c1) == repr(c2)
 
@@ -956,14 +1012,19 @@ class TestSweepMatchesReference:
         n, m = A.dim, A.order
         rows = A.array.reshape(n, -1)
         plan = oracle._monomial_plan(rows, m)
+        alpha0 = oracle._spectral_bound(rows)
         starts = oracle._canonical_rows(rng.standard_normal((12, n))).T
-        first = _both_sweeps(plan, m, _fresh_batch(rows, starts), tol, oracle._HANDOFF,
+        batch = _fresh_starts(starts)
+        first = _both_sweeps(plan, m, batch, alpha0, tol, oracle._HANDOFF,
                              oracle.SearchCounts())
         _assert_same_sweep(*first)
-        # the hand-off record resumed with the handoff off, its clocks and
-        # the pass count carried over
-        _, handed, counts = first[0]
-        _assert_same_sweep(*_both_sweeps(plan, m, handed, tol, 0.0, counts))
+        # a subset of the starts, on both signs, swept again from their
+        # start columns with the handoff off, as the search restarts the
+        # starts that Newton's method fails; the pass count carries over
+        subset = np.arange(1, 24, 3)
+        _, _, counts = first[0]
+        _assert_same_sweep(*_both_sweeps(plan, m, [v[..., subset] for v in batch], alpha0,
+                                         tol, 0.0, counts))
 
     def test_outcomes_cover_every_kind_of_retirement(self):
         # the cases above reach each branch of the pass at least once
@@ -975,9 +1036,11 @@ class TestSweepMatchesReference:
             rows = A.array.reshape(n, -1)
             starts = oracle._canonical_rows(rng.standard_normal((12, n))).T
             for tol in (1e-8, 1e-2):
-                _, handed = oracle._sweep(oracle._monomial_plan(rows, m), m,
-                                          _fresh_batch(rows, starts), tol, oracle._HANDOFF, seen)
-                seen.handed_off += handed.order.size
+                _, (handed, _) = oracle._sweep(oracle._monomial_plan(rows, m), m,
+                                               *_fresh_starts(starts),
+                                               oracle._spectral_bound(rows), tol,
+                                               oracle._HANDOFF, seen)
+                seen.handed_off += handed.size
         assert seen.handed_off and seen.converged and seen.stalled and seen.degenerate
 
     def test_nan_defects_and_infinite_scales(self):
@@ -988,14 +1051,15 @@ class TestSweepMatchesReference:
                                  * np.eye(3)[:, None, :])
         rows = A.array.reshape(3, -1)
         plan = oracle._monomial_plan(rows, 3)
-        pair = _fresh_batch(rows, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]))
+        alpha0 = oracle._spectral_bound(rows)
+        pair = _fresh_starts(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]))
         # (0, 1, 1) alone on A: nothing else sends its pass to the full test
-        alone = pair.take([1])
+        alone = [v[..., [1]] for v in pair]
         for batch, handed, passes in ((pair, [0, 2], None), (alone, [], 1)):
-            got, want = _both_sweeps(plan, 3, batch, 1e-8, oracle._HANDOFF,
+            got, want = _both_sweeps(plan, 3, batch, alpha0, 1e-8, oracle._HANDOFF,
                                      oracle.SearchCounts())
             _assert_same_sweep(got, want)
-            assert got[1].order.tolist() == handed and got[2].degenerate
+            assert got[1][0].tolist() == handed and got[2].degenerate
             assert passes in (None, got[2].passes)
 
     def test_search_with_resumed_starts_is_bitwise_the_reference(self, monkeypatch):
@@ -1023,8 +1087,8 @@ def test_sweeps_on_either_side_of_53_components_are_bitwise_the_reference(monkey
     raw = rng.standard_normal((12, n))
     raw[::2, :n - 2] = 0.0
     starts = oracle._canonical_rows(raw).T
-    _assert_same_sweep(*_both_sweeps(oracle._monomial_plan(rows, 2), 2,
-                                     _fresh_batch(rows, starts), 1e-8, oracle._HANDOFF,
+    _assert_same_sweep(*_both_sweeps(oracle._monomial_plan(rows, 2), 2, _fresh_starts(starts),
+                                     oracle._spectral_bound(rows), 1e-8, oracle._HANDOFF,
                                      oracle.SearchCounts()))
 
 
@@ -1097,7 +1161,7 @@ class TestNewtonMatchesReference:
              "symmetric-3-3": lambda rng: random_symmetric(rng, 3, 3),
              "b-3-4": lambda rng: random_b(rng, 3, 4),
              "tensor-3-5": lambda rng: random_tensor(rng, 3, 5),
-             # its search resumes a start and so runs Newton's method twice
+             # its search restarts a start and so runs Newton's method twice
              "laplacian-6-3": lambda rng: bt.laplacian_tensor(
                  random_hypergraph(np.random.default_rng(74), 6, 3))}
 
