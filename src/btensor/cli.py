@@ -150,6 +150,8 @@ def _run(args):
         return getattr(eigenloc, _INTERVAL_METHODS[args.method])(tensor).to_json_dict()
     if args.verb == "oracle":
         from . import oracle
+        # dim 2 is solved without starts, but takes the same options
+        oracle._check_starts(args.restarts, args.seed)
         if tensor.dim == 2:
             pairs = oracle.eigenpairs_n2(tensor, tol=args.tol)
         else:

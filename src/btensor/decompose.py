@@ -3,14 +3,14 @@
 Both splits build the same remainder C: each row's r_plus off the
 diagonal and r_plus + epsilon on it, so that the Z-part B = A - C is the
 row-wise ``a_plus`` transform of A shifted epsilon below its diagonal.
-Only the class test and the choice of epsilon differ; epsilon is half of
-the slack the class leaves, in closed form from ``row_stats(A)``: the
-transform's diagonal is diag - r_plus and its deficit is
-``upper_deficit``.  Besides that one ``row_stats`` sweep, each split walks
+Only the class test and the choice of epsilon differ; epsilon comes in
+closed form from ``row_stats(A)``, where the transform's diagonal is
+diag - r_plus and its deficit ``upper_deficit``.  Besides that one
+``row_stats`` sweep, each split walks
 A's rows once in cache-sized blocks to write both parts, and once more to
 re-verify them: per block, the reconstruction, both parts' row statistics
 and the remainder's shape.  The kind's class witness then reads those
-statistics; a part that loses its class to rounding raises
+statistics; a part that loses its class, or epsilon, to rounding raises
 DegenerateMarginError, any other failed invariant InternalError.
 """
 
@@ -97,6 +97,12 @@ def _split(A, kind, constants, eps):
                                constants, constants + eps)
     if not finite.all():
         raise PreconditionError("the Z-part of the split exceeds the float range")
+    # such a row of part_c is one constant, which no class test accepts
+    lost = np.flatnonzero((constants > 0.0) & (constants + eps == constants))
+    if len(lost):
+        raise DegenerateMarginError(
+            f"row {lost[0] + 1} keeps its constant {float(constants[lost[0]])!r} when "
+            f"epsilon {eps!r} is added: one epsilon cannot split rows this far apart in scale")
     shape = A.array.shape
     dec = Decomposition(kind, Tensor._wrap(b.reshape(shape)),
                         Tensor._wrap(c.reshape(shape)), eps, constants)
@@ -125,51 +131,19 @@ def decompose_b(A: Tensor) -> Decomposition:
     return _split(A, "B", stats.shift, float(stats.in_units(slack / 2.0).min()))
 
 
-def _pair_margin(stats):
-    """The smallest over row pairs of the largest uniform diagonal decrease
-    delta that keeps (d_i - delta)(d_j - delta) >= s_i s_j, halved, with
-    d = diag - r_plus and s = upper_deficit; inf for one row.
-
-    Each row is first scaled into [0, 1] by the power of two 2**e_i of the
-    larger of its d and s, so that a row of 1e-300 beside one of 1e307
-    keeps its bits.  A pair is solved at the absolute scale of its smaller
-    row, where the larger row's values are divided by the ratio r <= 1 of
-    the two scales: the smaller root of the quadratic, in rationalized form
-    (stable when the off-diagonal sums are tiny), is then
-    2 (d_b d_t - s_b s_t) / (d_b + r d_t + sqrt((d_b - r d_t)**2 + 4 r s_b s_t))
-    for the larger row b and the smaller row t.  For rows at one scale
-    (r = 1) this is the quadratic's own formula, and every other scale
-    moves each operation by a power of two only; so the result is that
-    of the unscaled formula wherever no value underflows."""
-    d, s, e = classes._scaled_rows(stats.diag - stats.r_plus, stats.upper_deficit)
-    # each row's absolute scale: its unit 2**k (frexp gives k + 1) times 2**e
-    scale = e + np.frexp(stats.unit)[1] - 1
-    larger = scale[:, None] >= scale[None, :]
-
-    def by_scale(values):
-        return (np.where(larger, values[:, None], values[None, :]),
-                np.where(larger, values[None, :], values[:, None]))
-
-    (d_b, d_t), (s_b, s_t), (top, low) = by_scale(d), by_scale(s), by_scale(scale)
-    r = np.ldexp(1.0, low - top)
-    delta = 2.0 * (d_b * d_t - s_b * s_t) / (d_b + r * d_t + np.sqrt(
-        (d_b - r * d_t) ** 2 + 4.0 * (s_b * s_t * r)))
-    np.fill_diagonal(delta, np.inf)
-    return float(np.ldexp(delta / 2.0, low).min())
-
-
 def decompose_doubly_b(A: Tensor) -> Decomposition:
     """Split a doubly B-tensor as B + C with B a Z- and doubly B-tensor and
     C the nonnegative row-constant-plus-diagonal-epsilon tensor.
 
-    The row constants are the r_plus values of A.  Epsilon is half of
-    min(delta, min d), with the ``a_plus`` transform's diagonal
-    d = diag - r_plus and deficit s = upper_deficit from ``row_stats(A)``;
-    delta is the smallest over row pairs of the largest uniform diagonal
-    decrease that keeps d_i d_j - s_i s_j an equality (the smaller root of
-    the associated quadratic, see :func:`_pair_margin`).  The doubly-B test
-    has just accepted these very floats, so only underflow can leave no
-    positive epsilon.
+    The row constants are the r_plus values of A.  With the ``a_plus``
+    transform's diagonal d = diag - r_plus and deficit s = upper_deficit
+    from ``row_stats(A)``, doubly B says q_i q_j < 1 for q = s / d; with Q
+    the product of the two largest q, epsilon = (1 - sqrt(Q)) / 2 * min d
+    (min d / 2 for one row) keeps each d_i - epsilon >= (1 + sqrt(Q)) / 2 * d_i,
+    so (d_i - epsilon)(d_j - epsilon) > Q d_i d_j >= s_i s_j.  Each
+    sqrt(q_i) is taken on its row scaled by a power of two, which cannot
+    overflow and is the same at every power-of-two scale of A.  Only a
+    margin at rounding level or underflow can leave no positive epsilon.
     """
     stats = row_stats(A)
     witness = classes._doubly_b_witness(stats)
@@ -179,8 +153,12 @@ def decompose_doubly_b(A: Tensor) -> Decomposition:
             f"not a doubly B-tensor: {where} has {witness['lhs']} <= {witness['rhs']}",
             witness=witness)
 
-    half_gap = stats.in_units((stats.diag - stats.r_plus) / 2.0)
-    return _split(A, "doublyB", stats.shift, min(_pair_margin(stats), float(half_gap.min())))
+    d = stats.diag - stats.r_plus
+    left, right, _ = classes._scaled_rows(d, stats.upper_deficit)
+    r = np.sqrt(right) / np.sqrt(left)
+    root_q = float(np.prod(np.partition(r, -2)[-2:])) if len(r) > 1 else 0.0
+    return _split(A, "doublyB", stats.shift,
+                  (1.0 - root_q) / 2.0 * float(stats.in_units(d).min()))
 
 
 def _misfits(scratch, a, b, c):

@@ -394,10 +394,7 @@ def search_report(A: Tensor, restarts: int = 64, seed: int = 0,
     monomials of each of the 2 * ``restarts`` starts, hold more than
     ``DEFAULT_ENTRY_CAP`` entries.  Newton's monomials are fewer; its n x n
     Jacobians are under twice the batch for m >= 3, n times it at m = 2."""
-    if _as_int(restarts, "restarts") < 1:
-        raise InputError(f"restarts must be a positive integer, got {restarts!r}")
-    if _as_int(seed, "seed") < 0:
-        raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
+    _check_starts(restarts, seed)
     _check_tol(tol)
     n, m = A.dim, A.order
     most = DEFAULT_ENTRY_CAP // (2 * math.comb(n + m - 2, m - 1))
@@ -460,6 +457,13 @@ def _spectral_bound(rows):
         raise PreconditionError("the eigenvalue bound, 1 plus the largest absolute row sum, "
                                 "exceeds the float range")
     return bound
+
+
+def _check_starts(restarts, seed):
+    if _as_int(restarts, "restarts") < 1:
+        raise InputError(f"restarts must be a positive integer, got {restarts!r}")
+    if _as_int(seed, "seed") < 0:
+        raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _check_tol(tol):
@@ -810,9 +814,12 @@ def _bordered_solve(J, F):
 
 def _dedupe_sort(items):
     """Collapse the (pair, repeats) ``items`` whose pairs are equal within the
-    dedupe tolerance in the direction and, relative to max(1, |lambda|), in
-    the eigenvalue, keeping the smallest residual.  Returns the kept pairs,
-    sorted, and a tuple aligned with them of the repeats each one absorbed.
+    dedupe tolerance in the direction, up to its sign, and, relative to
+    max(1, |lambda|), in the eigenvalue, keeping the smallest residual:
+    (lambda, -x) is an eigenpair whenever (lambda, x) is, and the sign the
+    solvers give x comes from rounding noise where its first component is
+    at rounding level.  Returns the kept pairs, sorted, and a tuple aligned
+    with them of the repeats each one absorbed.
 
     The sort is stable, so of two pairs with tied sort keys (0.0 and -0.0
     components) the first given is compared first; as the two are equal in
@@ -822,7 +829,8 @@ def _dedupe_sort(items):
     for p, repeats in ordered:
         for slot, q in enumerate(kept):
             if (abs(p.lam - q.lam) <= _DEDUPE_TOL * max(1.0, abs(p.lam), abs(q.lam))
-                    and np.max(np.abs(p.x - q.x)) <= _DEDUPE_TOL):
+                    and (np.max(np.abs(p.x - q.x)) <= _DEDUPE_TOL
+                         or np.max(np.abs(p.x + q.x)) <= _DEDUPE_TOL)):
                 if p.residual < q.residual:
                     kept[slot] = p
                 break

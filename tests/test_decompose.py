@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,7 +94,8 @@ class TestDecomposeDoublyB:
     def test_counterexample_golden(self):
         t42 = make_t42()
         dec = bt.decompose_doubly_b(t42)
-        # pair quadratic (2 - d)^2 = 1 * 3 has smaller root 2 - sqrt(3)
+        # d = (2, 2) and s = (1, 3) give the ratios q = (1/2, 3/2), so
+        # sqrt(Q) = sqrt(3) / 2 and epsilon = (1 - sqrt(3) / 2) / 2 * 2
         assert dec.epsilon == pytest.approx((2.0 - math.sqrt(3.0)) / 2.0, rel=1e-12)
         assert np.array_equal(dec.row_constants, [0.0, 0.0])
         # C is epsilon times the identity here
@@ -141,12 +144,12 @@ class TestEpsilonChoice:
             assert bt.is_z(part_b) and bt.is_doubly_b(part_b)
             assert bt.is_doubly_b(bt.Tensor.from_array(part_c))
 
-    def test_diagonal_shifted_input_degenerate_quadratic(self):
-        """With no off-diagonal mass the pair quadratic degenerates to the
-        smallest diagonal."""
+    def test_diagonal_input_takes_half_the_smallest_diagonal(self):
+        """With no off-diagonal mass every deficit ratio is 0, so epsilon is
+        half the smallest diagonal."""
         A = bt.Tensor.from_array(np.diag([2.0, 3.0]))
         dec = bt.decompose_doubly_b(A)
-        assert dec.epsilon == 1.0  # min(delta, min diag) / 2 = 2 / 2
+        assert dec.epsilon == 1.0  # (1 - 0) / 2 * 2
 
 
     def test_b_epsilon_is_half_the_transform_slack(self):
@@ -297,17 +300,19 @@ def b_epsilon(stats):
 
 
 def doubly_b_epsilon(stats):
-    """Half of min(delta, min d), every row in the largest row unit: the
-    closed form before the pairs got their own scale, which must still hold
-    bitwise wherever no row underflows in that unit."""
-    top = stats.unit.max()
-    d = (stats.diag - stats.r_plus) * (stats.unit / top)
-    s = stats.upper_deficit * (stats.unit / top)
-    products = np.outer(d, d) - np.outer(s, s)
-    delta_pairs = 2.0 * products / (np.add.outer(d, d) + np.sqrt(
-        np.subtract.outer(d, d) ** 2 + 4.0 * np.outer(s, s)))
-    np.fill_diagonal(delta_pairs, np.inf)
-    return min(float(delta_pairs.min()), float(d.min())) / 2.0 * float(top)
+    """(1 - sqrt(Q)) / 2 * min d, with sqrt(Q) the largest r_i r_j over the
+    pairs i != j and r_i = sqrt(s_i / d_i) taken on row i's d and s divided
+    by the power of two that puts the larger in [1/2, 1)."""
+    d = [float(v) for v in stats.diag - stats.r_plus]
+    s = [float(v) for v in stats.upper_deficit]
+    r = []
+    for d_i, s_i in zip(d, s):
+        e = math.frexp(max(d_i, s_i))[1]
+        r.append(math.sqrt(math.ldexp(s_i, -e)) / math.sqrt(math.ldexp(d_i, -e)))
+    root_q = max((r[i] * r[j] for i in range(len(r)) for j in range(len(r)) if i != j),
+                 default=0.0)
+    min_d = min(d_i * float(unit) for d_i, unit in zip(d, stats.unit))
+    return (1.0 - root_q) / 2.0 * min_d
 
 
 def split_members(seed):
@@ -342,10 +347,14 @@ class TestBlockedSweeps:
                     continue
                 try:
                     dec = split(A)
-                except bt.DegenerateMarginError:
+                except bt.DegenerateMarginError as err:
                     # a lone row near DBL_MAX with r_plus > 0: its constant
                     # absorbs an epsilon set by the other rows' slack
                     assert stats.unit[0] > 1.0 and stats.shift[0] > 0.0
+                    assert str(err) == (
+                        f"row 1 keeps its constant {float(stats.shift[0])!r} when epsilon "
+                        f"{epsilon(stats)!r} is added: one epsilon cannot split rows this "
+                        f"far apart in scale")
                     continue
                 assert dec.epsilon == epsilon(stats)
                 part_b, part_c = reference_parts(A, stats.shift, dec.epsilon)
@@ -355,6 +364,24 @@ class TestBlockedSweeps:
                 splits += 1
                 big_units += bool(np.any(stats.unit > 1.0))
         assert splits >= 200 and big_units >= 120
+
+    def test_doubly_b_epsilon_keeps_every_pair_exactly(self):
+        # on the stored floats, in exact arithmetic: d_i > epsilon and
+        # (d_i - epsilon)(d_j - epsilon) > s_i s_j for every pair i != j
+        members = 0
+        for A in split_members(44):
+            if not bt.is_doubly_b(A):
+                continue
+            stats = bt.row_stats(A)
+            eps = Fraction(doubly_b_epsilon(stats))
+            units = [Fraction(float(u)) for u in stats.unit]
+            d = [Fraction(float(v)) * u for v, u in zip(stats.diag - stats.r_plus, units)]
+            s = [Fraction(float(v)) * u for v, u in zip(stats.upper_deficit, units)]
+            assert eps > 0 and all(d_i > eps for d_i in d)
+            for i, j in itertools.permutations(range(len(d)), 2):
+                assert (d[i] - eps) * (d[j] - eps) > s[i] * s[j]
+            members += 1
+        assert members >= 100
 
     @pytest.mark.parametrize("block_entries", [1, 50, 1 << 17])
     def test_verify_failures_raise_the_same_errors(self, monkeypatch, block_entries):
@@ -418,8 +445,9 @@ class TestBlockedSweeps:
 
 class TestTinyRows:
     def test_tiny_row_beside_a_huge_one_splits(self):
-        # the pair quadratic is solved at the 1e-300 row's own scale, where
-        # it does not underflow to d = 0 as it did in the 1e307 row's unit
+        # each row's deficit ratio is taken at its own scale, where the
+        # 1e-300 row does not underflow to d = 0 as it would in the 1e307
+        # row's unit
         A = bt.Tensor(2, 2, [1e307, 0.0, 0.0, 1e-300])
         for split in (bt.decompose_b, bt.decompose_doubly_b):
             dec = split(A)
@@ -438,6 +466,21 @@ class TestTinyRows:
         assert small.epsilon == math.ldexp(
             bt.decompose_doubly_b(scaled(A, 700)).epsilon, -700)
         check_doubly_invariants(small, A)
+
+    @pytest.mark.parametrize("entries, epsilon", [
+        ([1e-300, -1e10, 0.0, 1.0], 5e-301),
+        ([1e-300, -1e10, -1e-320, 1.0], 4.99995e-301)])
+    def test_a_deficit_ratio_past_dbl_max_splits(self, entries, epsilon):
+        # q_1 = 1e310 does not fit a double, but sqrt(q_1) = 1e155 does; Q
+        # is 0 beside the second row's zero deficit and about 1e-10 beside
+        # its subnormal one
+        A = bt.Tensor(2, 2, entries)
+        assert bt.is_doubly_b(A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = bt.decompose_doubly_b(A)
+        assert dec.epsilon == pytest.approx(epsilon, rel=1e-9)
+        check_doubly_invariants(dec, A)
 
 
 class TestConverseDirections:

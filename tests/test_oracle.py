@@ -624,6 +624,20 @@ class TestSearchReport:
         assert [p.lam for p in kept] == [-lam, lam * (1.0 + 1e-12), lam * (1.0 + 1e-8)]
         assert merged == (2, 5, 1)
 
+    def test_dedupe_takes_x_and_minus_x_as_one_direction(self):
+        # (lambda, -x) is an eigenpair with (lambda, x); a first component at
+        # rounding level gives either sign, so both join one slot, while a
+        # vector near neither stays apart
+        x = np.array([7e-243, 1.0, 0.0])
+        near = np.array([-7e-243, 1.0, 1e-10])
+        items = [(oracle.EigenPair(3.0, x, 1e-12), 2), (oracle.EigenPair(3.0, -x, 1e-14), 1),
+                 (oracle.EigenPair(3.0, near, 1e-13), 4),
+                 (oracle.EigenPair(3.0, np.array([0.0, 1.0, 0.5]), 1e-12), 1)]
+        kept, merged = oracle._dedupe_sort(items)
+        assert [p.x.tolist() for p in kept] == [(-x).tolist(), [0.0, 1.0, 0.5]]
+        assert [p.residual for p in kept] == [1e-14, 1e-12]
+        assert merged == (7, 1)
+
     def test_dedupe_keeps_the_first_of_tied_pairs(self):
         # -0.0 == 0.0, so the sort keys tie and the first pair given stands
         # for both: the solvers keep their candidates in start order so that
@@ -789,7 +803,8 @@ def _reference_dedupe_sort(pairs):
     for p in ordered:
         for slot, q in enumerate(kept):
             if (abs(p.lam - q.lam) <= oracle._DEDUPE_TOL * max(1.0, abs(p.lam), abs(q.lam))
-                    and np.max(np.abs(p.x - q.x)) <= oracle._DEDUPE_TOL):
+                    and min(np.max(np.abs(p.x - q.x)),
+                            np.max(np.abs(p.x + q.x))) <= oracle._DEDUPE_TOL):
                 merged[slot] += 1
                 if p.residual < q.residual:
                     kept[slot] = p
