@@ -26,8 +26,10 @@ _MAX_ORDER = 32
 #: walks blocks of whole rows, so the buffer stays in cache and is not paged in.
 _BLOCK_ENTRIES = 1 << 17
 
-#: A row is divided by its unit once W max|a| reaches 2**_UNIT_EXPONENT.
-#: Doubly B's split squares sums of two fields, up to 2**(2 * 500 + 5).
+#: A row is divided by its unit once W max|a| reaches 2**_UNIT_EXPONENT, so
+#: that the one product of two fields, the pair witness's lhs[i] * lhs[j] in
+#: ``classes._first_failing_pair``, taken in row units before ``_witness``
+#: multiplies the units back, stays below 2**(2 * 500 + 5).
 _UNIT_EXPONENT = 500
 
 
@@ -60,12 +62,15 @@ def _json_fields(obj, what, *names):
         raise InputError(f"{what} JSON lacks required field {missing}") from None
 
 
+#: What ``np.array(..., dtype=float64)`` would turn into numbers (None into NaN).
+_NOT_NUMBERS = (bool, str, type(None))
+
+
 def _reject_non_numbers(entries):
-    """Reject booleans and strings anywhere in nested Python lists, which
-    ``np.array(..., dtype=float64)`` would turn into numbers."""
+    """Reject ``_NOT_NUMBERS`` anywhere in nested Python lists."""
     kinds = set(map(type, entries))
-    if any(issubclass(kind, (bool, str)) for kind in kinds):
-        bad = next(v for v in entries if isinstance(v, (bool, str)))
+    if any(issubclass(kind, _NOT_NUMBERS) for kind in kinds):
+        bad = next(v for v in entries if isinstance(v, _NOT_NUMBERS))
         raise InputError(f"tensor entries must be real numbers, got {bad!r}")
     if any(issubclass(kind, (list, tuple)) for kind in kinds):
         for v in entries:
@@ -241,7 +246,7 @@ class Tensor:
             if key in seen:
                 raise InputError(f"duplicate sparse index {list(idx)}")
             seen.add(key)
-            if isinstance(record["val"], (bool, str)):
+            if isinstance(record["val"], _NOT_NUMBERS):
                 raise InputError(f"sparse value {record['val']!r} must be a real number")
             try:
                 arr[key] = record["val"]

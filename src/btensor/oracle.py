@@ -2,20 +2,22 @@
 
 For dimension 2 the eigenvalue equation reduces to a univariate
 polynomial whose real roots enumerate the full H-spectrum, so the result
-is exhaustive up to root-finding tolerance.  The roots are isolated on
-lists of Python floats, with numpy's arithmetic in numpy's order
-(``_polydiv`` is ``numpy.polynomial.polynomial.polydiv`` step for step),
-so they come out bitwise as on numpy arrays, and a value past DBL_MAX
-becomes inf without a warning.  For larger dimensions a seeded, shifted
-fixed-point search returns a deterministic subset of the spectrum;
-completeness is not claimed there, and an empty result is a legal
-outcome.  The search hands each start whose defect falls below
-``_HANDOFF`` to Newton's method, run on all such starts at once as a
-stack of bordered n x n solves (see :func:`_batched_fixed_point`), so
-pairs on simple eigenvalues are solved to rounding level, and starts
-that found the same pair merge in the dedupe.  A start that Newton's
-method fails restarts the fixed point from its start with the handoff
-off, as the plain fixed point runs it.
+is exhaustive up to root-finding tolerance.  The polynomial is formed
+from A divided by the power of two just above max|a|, so its roots scale
+exactly with A and none of its derivatives overflows.  The roots are
+isolated on lists of Python floats, with numpy's arithmetic in numpy's
+order (``_polydiv`` divides as ``numpy.polynomial.polynomial.polydiv``
+does, on the lists its callers pass), so they come out bitwise as on
+numpy arrays, and a value past DBL_MAX becomes inf without a warning.
+For larger dimensions a seeded, shifted fixed-point search returns a
+deterministic subset of the spectrum; completeness is not claimed there,
+and an empty result is a legal outcome.  The search hands each start
+whose defect falls below ``_HANDOFF`` to Newton's method, run on all
+such starts at once as a stack of bordered n x n solves (see
+:func:`_batched_fixed_point`), so pairs on simple eigenvalues are solved
+to rounding level, and starts that found the same pair merge in the
+dedupe.  A start that Newton's method fails restarts the fixed point
+from its start with the handoff off, as the plain fixed point runs it.
 
 The fixed point contracts the tensor with x^(m-1) through its
 symmetrization over the last m-1 indices, which gives the same vector:
@@ -60,9 +62,6 @@ _NEWTON_STEPS = 32
 _POLISH = 1e-12
 _STALL = 200
 _MAX_STEPS = 10_000
-#: eigenpairs_n2 divides A by 2**k, k > 0 only where the eigenvalue bound
-#: reaches 2**_N2_EXPONENT, so that its chart polynomials keep headroom.
-_N2_EXPONENT = 1000
 
 
 @dataclass(frozen=True)
@@ -117,35 +116,19 @@ def _deriv(c):
     return [v * i for i, v in enumerate(c[1:], 1)]
 
 
-def _trimmed(c):
-    """``c`` without trailing exact zeros, keeping ``c[0]`` (numpy's ``trimseq``)."""
-    k = len(c)
-    while k > 1 and c[k - 1] == 0.0:
-        k -= 1
-    return c[:k]
-
-
 def _polydiv(c1, c2):
-    """Quotient and remainder of ``c1 / c2``, bitwise as numpy's ``polydiv``.
-
-    It makes numpy's float operations in numpy's order: trim trailing exact
-    zeros, divide the divisor by its leading coefficient, subtract
-    ``c2[k] * c1[j]`` from ``c1[i + k]`` for each quotient term j from the
-    top, and return ``c1[0] * 0`` where the quotient or remainder is empty.
-    """
-    c1, c2 = _trimmed(c1), _trimmed(c2)
-    n1, n2 = len(c1), len(c2)
-    if n1 < n2:
-        return [c1[0] * 0], c1
-    if n2 == 1:
-        return [v / c2[0] for v in c1], [c1[0] * 0]
+    """Quotient and remainder of ``c1 / c2`` for ``_strip``ped lists, ``c1``
+    no shorter than ``c2``: numpy's ``polydiv`` step for step, so the
+    quotient is bitwise numpy's, and the untrimmed remainder is numpy's
+    after ``_strip``."""
+    c1, n2 = list(c1), len(c2)
     scl = c2[-1]
     c2 = [v / scl for v in c2[:-1]]
-    for j in range(n1 - 1, n2 - 2, -1):
+    for j in range(len(c1) - 1, n2 - 2, -1):
         q, i = c1[j], j - n2 + 1
         for k, v in enumerate(c2):
             c1[i + k] -= v * q
-    return [v / scl for v in c1[n2 - 1:]], _trimmed(c1[:n2 - 1])
+    return [v / scl for v in c1[n2 - 1:]], c1[:n2 - 1]
 
 
 def _normalized(c):
@@ -157,8 +140,7 @@ def _gcd(a, b):
     """Euclidean polynomial gcd with a coefficient-magnitude cutoff.  Once a
     coefficient is not finite the remainders never vanish, so the gcd is
     then the trivial [1.0]."""
-    a = _strip(_normalized(a))
-    b = _strip(_normalized(b)) if b else b
+    a, b = _strip(_normalized(a)), _strip(_normalized(b))
     while b:
         if not all(map(math.isfinite, a + b)):
             return [1.0]
@@ -243,15 +225,13 @@ def _polish(c, d, t):
 
 
 def _real_roots(c):
-    """Sorted distinct real roots of the polynomial with ascending coefficients."""
+    """Sorted distinct real roots of the polynomial with ascending
+    coefficients, whose derivatives, with coefficients below
+    deg! * max|c_i|, must stay finite (``eigenpairs_n2``'s scaling keeps
+    them below 2**320)."""
     c = _strip(c)
     if len(c) <= 1:
         return []
-    # c / 2**k has the same roots, and its derivatives of every order, whose
-    # coefficients stay below deg! * max|c_i| / 2**k, are finite
-    k = math.frexp(_top(c))[1] + math.factorial(len(c) - 1).bit_length() - 1023
-    if k > 0:
-        c = [math.ldexp(v, -k) for v in c]
     sf = _square_free(c)
     d = _deriv(sf)
     return _distinct(sorted(_polish(sf, d, t) for t in _isolated_roots(sf)))
@@ -279,8 +259,9 @@ def eigenpairs_n2(A: Tensor, tol: float = 1e-8) -> list[EigenPair]:
     If the chart polynomial vanishes identically, every direction with a
     nonzero first component is an eigenvector (a continuum); the
     representative directions t in {0, 1, -1} are returned in that case.
-    Where the eigenvalue bound reaches 2**1000, the polynomials are formed
-    from A divided by a power of two, and each eigenvalue multiplied back.
+    The polynomials are formed from A / 2**e, 2**e the power of two just
+    above max|a|, and each eigenvalue is multiplied back by 2**e, so every
+    root and eigenvalue scales exactly with A where no entry is subnormal.
 
     Raises :class:`PreconditionError` when the eigenvalue bound, 1 plus the
     largest absolute row sum, exceeds the float range.
@@ -290,10 +271,11 @@ def eigenpairs_n2(A: Tensor, tol: float = 1e-8) -> list[EigenPair]:
         raise PreconditionError(f"exhaustive enumeration needs dim 2, got {A.dim}")
     m = A.order
     rows = A.array.reshape(2, -1)
-    # the chart polynomials of A / 2**k: every coefficient and derivative
-    # stays finite, and every root and eigenvalue scales exactly
-    k = max(0, math.frexp(_spectral_bound(rows))[1] - _N2_EXPONENT)
-    scaled = np.ldexp(rows, -k)
+    _spectral_bound(rows)
+    # the chart coefficients of A / 2**e are below 2**m, and those of their
+    # derivatives below (2m - 2)! * 2**m < 2**320, so all stay finite
+    e = math.frexp(float(np.abs(rows).max()))[1]
+    scaled = np.ldexp(rows, -e)
     # flat index bits select component 2; the degree in t is the bit count
     counts = np.array([i.bit_count() for i in range(2 ** (m - 1))])
     p1 = np.bincount(counts, weights=scaled[0], minlength=m)
@@ -310,7 +292,9 @@ def eigenpairs_n2(A: Tensor, tol: float = 1e-8) -> list[EigenPair]:
         # stored polynomial; listed first, they win over bisection twins
         ts = _distinct([t for t in (0.0, 1.0, -1.0) if _eval(g, t) == 0.0] + _real_roots(g))
     X = [[1.0, t] for t in ts]
-    lams = [math.ldexp(_eval(p1, t), k) + 0.0 for t in ts]  # + 0.0 normalizes -0.0
+    # + 0.0 normalizes -0.0; a value past DBL_MAX is inf and fails the residual
+    with np.errstate(over="ignore"):
+        lams = (np.ldexp([_eval(p1, t) for t in ts], e) + 0.0).tolist()
     if rows[0, -1] == 0.0:
         X.append([0.0, 1.0])
         lams.append(float(rows[1, -1]) + 0.0)

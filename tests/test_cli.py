@@ -188,29 +188,40 @@ class TestFailurePaths:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "input"
 
-    @pytest.mark.parametrize("verb, text", [
-        ("laplacian", '{"n": 3, "m": 2, "edges": [5]}'),
-        ("classify", '{"order": 2, "dim": 2, "dense": ["a", 1, 2, 3]}'),
-        ("classify", '{"order": 2, "dim": 2, "dense": [[1, 2], [3]]}'),
-        ("classify", '{"order": 2, "dim": 2, "sparse": [{"idx": 5, "val": 1}]}'),
-        ("classify", '{"order": 2, "dim": 2, "sparse": [{"idx": [1, 1], "val": "x"}]}'),
-        ("classify", '{"order": 2, "dim": 2, "sparse": 7}'),
-        ("classify", '{"order": 2, "dim": 1, "dense": [1' + "0" * 400 + ']}'),
-        ("classify", '{"order": 2, "dim": 2, "dense": [true, "0.5", 0, "2"]}'),
-        ("classify", '{"order": 2, "dim": 2, "dense": [1, 0, 0, true]}'),
-        ("classify", '{"order": 2, "dim": 2, "dense": [[1, "0.5"], [0, 2]]}'),
-        ("classify", '{"order": 2, "dim": 2, "sparse": [{"idx": [1, 1], "val": "3"}]}'),
-        ("classify", '{"order": 2, "dim": 2, "sparse": [{"idx": [1, 1], "val": false}]}'),
+    @pytest.mark.parametrize("verb, text, detail", [
+        ("laplacian", '{"n": 3, "m": 2, "edges": [5]}', "edge must be a list"),
+        ("classify", '{"order": 2, "dim": 2, "dense": ["a", 1, 2, 3]}', "got 'a'"),
+        ("classify", '{"order": 2, "dim": 2, "dense": [[1, 2], [3]]}', "inhomogeneous"),
+        ("classify", '{"order": 2, "dim": 2, "sparse": [{"idx": 5, "val": 1}]}',
+         "sparse index 5 needs 2 components"),
+        ("classify", '{"order": 2, "dim": 2, "sparse": [{"idx": [1, 1], "val": "x"}]}',
+         "sparse value 'x' must be a real number"),
+        ("classify", '{"order": 2, "dim": 2, "sparse": 7}', "'sparse' must be a list"),
+        ("classify", '{"order": 2, "dim": 1, "dense": [1' + "0" * 400 + ']}', "int too large"),
+        ("classify", '{"order": 2, "dim": 2, "dense": [true, "0.5", 0, "2"]}', "got True"),
+        ("classify", '{"order": 2, "dim": 2, "dense": [1, 0, 0, true]}', "got True"),
+        ("classify", '{"order": 2, "dim": 2, "dense": [[1, "0.5"], [0, 2]]}', "got '0.5'"),
+        ("classify", '{"order": 2, "dim": 2, "sparse": [{"idx": [1, 1], "val": "3"}]}',
+         "sparse value '3' must be a real number"),
+        ("classify", '{"order": 2, "dim": 2, "sparse": [{"idx": [1, 1], "val": false}]}',
+         "sparse value False must be a real number"),
+        ("classify", '{"order": 2, "dim": 2, "dense": [null, 1, 2, 3]}',
+         "tensor entries must be real numbers, got None"),
+        ("classify", '{"order": 2, "dim": 2, "sparse": [{"idx": [1, 1], "val": null}]}',
+         "sparse value None must be a real number"),
     ], ids=["edge-not-a-list", "dense-string", "dense-ragged", "sparse-idx-not-a-list",
             "sparse-val-string", "sparse-not-a-list", "dense-int-overflow",
             "dense-bool-and-numeric-strings", "dense-bool", "dense-nested-numeric-string",
-            "sparse-val-numeric-string", "sparse-val-bool"])
-    def test_malformed_values_exit_2(self, capsys, tmp_path, verb, text):
+            "sparse-val-numeric-string", "sparse-val-bool", "dense-null", "sparse-val-null"])
+    def test_malformed_values_exit_2(self, capsys, tmp_path, verb, text, detail):
+        # numpy would turn JSON null into NaN, refused as non-finite, not as
+        # what it is: no number
         path = tmp_path / "bad.json"
         path.write_text(text)
         code, out, err = run_main(capsys, [verb, str(path)])
         assert code == 2 and out == ""
-        assert json.loads(err)["error"] == "input"
+        last = json.loads(err)
+        assert last["error"] == "input" and detail in last["detail"]
 
     @pytest.mark.parametrize("header", [
         {"order": 100_000, "dim": 3, "dense": []},

@@ -170,6 +170,14 @@ class TestGerschgorin:
 
 
 class TestLaplacian:
+    @pytest.mark.parametrize("n, m, message", [
+        (0, 2, "vertex count must be positive, got 0"),
+        (3, 1, "edge cardinality must be at least 2, got 1"),
+    ], ids=["no-vertices", "one-vertex-edges"])
+    def test_hypergraph_header_is_checked(self, n, m, message):
+        with pytest.raises(bt.InputError, match=f"^{message}$"):
+            bt.Hypergraph(n, m, [])
+
     def test_single_edge(self):
         G = bt.Hypergraph(3, 3, [(1, 2, 3)])
         L = bt.laplacian_tensor(G)

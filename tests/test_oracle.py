@@ -157,6 +157,36 @@ class TestEigenpairsN2:
             assert [p.lam for p in got] == [math.ldexp(p.lam, -j) for p in want], j
             assert all(np.array_equal(p.x, q.x) for p, q in zip(got, want)), j
 
+    def test_chart_derivatives_near_dbl_max_stay_finite(self):
+        # the chart polynomial of this tensor is TestUnivariateHelpers'
+        # OVERFLOWING: its first derivative overflows, and at 2**-6 and
+        # 2**-10 a later one does, unless the polynomial is scaled first
+        c, m = TestUnivariateHelpers.OVERFLOWING, 6
+        rows = np.zeros((2, 2 ** (m - 1)))
+        for k in range(m):
+            rows[1, 2 ** k - 1] = c[k]
+        for k in range(1, m - 1):
+            rows[0, 2 ** k - 1] = -c[k + m - 1]
+        A = bt.Tensor(m, 2, rows.reshape(-1))
+        want = bt.eigenpairs_n2(A, tol=math.ldexp(1e-6, 1000))
+        assert len(want) == 6
+        for j in (6, 10, 1000):
+            got = bt.eigenpairs_n2(bt.Tensor(m, 2, np.ldexp(A.array, -j)),
+                                   tol=math.ldexp(1e-6, 1000 - j))
+            assert [p.lam for p in got] == [math.ldexp(p.lam, -j) for p in want], j
+            assert all(np.array_equal(p.x, q.x) for p, q in zip(got, want)), j
+
+    def test_a_chart_value_past_dbl_max_is_no_pair(self):
+        # at 2**1019 the chart root near 1e9 evaluates to an eigenvalue past
+        # DBL_MAX, where math.ldexp would raise OverflowError; it is inf,
+        # and fails the residual check as it does unscaled
+        a = np.array([-1.0, 3.0, -3.0, -3.0, 3.0, 3.0, -1.0, 1e-09,
+                      -1.0, -3.0, 3.0, 1.0, 1.0, -2.0, 0.0, -2.0])
+        want = bt.eigenpairs_n2(bt.Tensor(4, 2, a))
+        got = bt.eigenpairs_n2(bt.Tensor(4, 2, np.ldexp(a, 1019)), tol=math.ldexp(1e-8, 1019))
+        assert [p.lam for p in got] == [math.ldexp(p.lam, 1019) for p in want]
+        assert all(np.array_equal(p.x, q.x) for p, q in zip(got, want))
+
     def test_a_nan_value_brackets_no_root(self, monkeypatch):
         # t**2 - 1 on the points -2, 0, 2; an overflowed NaN at -2 has no
         # sign, so only the bracket [0, 2] is searched
@@ -194,21 +224,28 @@ def _coefficients(rng, size):
 
 class TestUnivariateHelpers:
     """The root isolation runs on Python floats in numpy's operation order,
-    so its quotients and values are numpy's, byte for byte."""
+    so on the inputs its callers pass its quotients and values are numpy's,
+    byte for byte, and its remainders are numpy's after ``_strip``."""
 
     def test_polydiv_is_bitwise_numpys(self):
+        # the callers divide _strip'ped lists, the dividend no shorter
         rng = np.random.default_rng(35)
         for case in range(400):
-            c1 = _coefficients(rng, int(rng.integers(1, 14)))
-            # degree-0, equal-degree, lower- and higher-degree divisors
-            size = [1, len(c1), int(rng.integers(1, len(c1) + 3))][case % 3]
-            c2 = _coefficients(rng, size)
-            if not any(c2):
-                c2[0] = 1.0
+            c1 = c2 = []
+            while not c1:
+                c1 = oracle._strip(_coefficients(rng, int(rng.integers(1, 14))))
+            # degree-0, equal-degree and lower-degree divisors
+            size = [1, len(c1), int(rng.integers(1, len(c1) + 1))][case % 3]
+            while not c2:
+                c2 = oracle._strip(_coefficients(rng, size))
             with np.errstate(all="ignore"):
-                want = npoly.polydiv(c1, c2)
-            got = oracle._polydiv(c1, c2)
-            assert [_float_bytes(v) for v in got] == [v.tobytes() for v in want], (c1, c2)
+                want_q, want_r = npoly.polydiv(c1, c2)
+            dividend = list(c1)
+            got_q, got_r = oracle._polydiv(c1, c2)
+            assert c1 == dividend
+            assert _float_bytes(got_q) == want_q.tobytes(), (c1, c2)
+            assert (_float_bytes(oracle._strip(got_r))
+                    == _float_bytes(oracle._strip(want_r.tolist()))), (c1, c2)
 
     def test_eval_is_bitwise_polyval(self):
         rng = np.random.default_rng(36)
@@ -254,15 +291,6 @@ class TestUnivariateHelpers:
         roots = json.loads(result.stdout)
         assert roots and all(math.isfinite(t) for t in roots)
         assert oracle._gcd(c, oracle._deriv(c)) == [1.0]
-
-    @pytest.mark.parametrize("shift", [0, 6, 10])
-    def test_real_roots_survive_derivative_overflow(self, shift):
-        # at shift 0 the first derivative overflows, at 6 and 10 a later one;
-        # the copy divided by 2**1000 has every derivative finite
-        c = [math.ldexp(v, -shift) for v in self.OVERFLOWING]
-        roots = oracle._real_roots(c)
-        assert roots == oracle._real_roots([math.ldexp(v, -1000) for v in self.OVERFLOWING])
-        assert len(roots) == 5
 
     def test_import_loads_no_numpy_polynomial(self):
         probe = "import sys, btensor.cli; print('numpy.polynomial' in sys.modules)"

@@ -1,14 +1,14 @@
-"""Power-of-two scaling: every class test, interval endpoint and split is
-positively homogeneous in A, so scaling A by 2**j must leave every flag
-identical and scale every printed value exactly, near DBL_MAX too, where
-rows are stored divided by their units."""
+"""Power-of-two scaling: every class test, interval endpoint, split and
+dim-2 eigenpair is positively homogeneous in A, so scaling A by 2**j must
+leave every flag and eigenvector identical and scale every printed value
+exactly, near DBL_MAX too, where rows are stored divided by their units."""
 
 import math
 
 import numpy as np
 
 import btensor as bt
-from cases import GENERATORS, scaled
+from cases import GENERATORS, random_symmetric, random_tensor, random_z, scaled
 
 SHAPES = [(m, n) for m in (2, 3, 4) for n in (2, 3, 4, 5)]
 
@@ -105,3 +105,22 @@ def test_flags_and_splits_scale_exactly_down_to_tiny_tensors():
                         assert decompose(B).epsilon == times(decompose(A).epsilon, j)
                         splits += 1
     assert splits >= 100
+
+
+def test_dim2_eigenpairs_scale_exactly():
+    # below 2**-960 the entries and the residual's products reach the
+    # subnormal range, where no float computation scales exactly; the top k
+    # is the last one whose eigenvalue bound is finite.  Tensor i takes every
+    # 21st k from -960 + i, so the sample covers every k, and its own top 16
+    rng = np.random.default_rng(21)
+    for i in range(21):
+        make = (random_tensor, random_z, random_symmetric)[i % 3]
+        A = make(rng, 2 + i % 7, 2)
+        top = 1024 - math.frexp(np.abs(A.array.reshape(2, -1)).sum(axis=1).max())[1]
+        want = bt.eigenpairs_n2(A)
+        assert want
+        for j in sorted({*range(-960 + i, top + 1, 21), *range(top - 15, top + 1)}):
+            got = bt.eigenpairs_n2(scaled(A, j), tol=math.ldexp(1e-8, j))
+            assert [(p.lam, p.residual) for p in got] == [
+                (math.ldexp(p.lam, j), math.ldexp(p.residual, j)) for p in want], (i, j)
+            assert all(np.array_equal(p.x, q.x) for p, q in zip(got, want)), (i, j)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,27 @@ class TestConstruction:
         with pytest.raises(bt.InputError,
                            match=r"^index component must be an integer, got 1\.0$"):
             t43.entry(1, 1.0, 1, 1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: bt.Tensor.from_array(np.ones(3)), "array must have at least 2 axes, got 1"),
+    (lambda: bt.Tensor.from_array(np.ones((2, 3))),
+     "array axes must all have equal length, got shape (2, 3)"),
+    (lambda: bt.Tensor.ones(3, 2).entry(1, 1), "multi-index needs 3 components, got 2"),
+    (lambda: bt.Tensor.from_json_dict({"order": 2, "dim": 2, "sparse": [{"idx": [1, 1]}]}),
+     "sparse records must look like {'idx': [...], 'val': v}"),
+    (lambda: bt.Tensor.from_json_dict(
+        {"order": 2, "dim": 2, "sparse": [{"idx": [1, 1], "val": [1, 2]}]}),
+     "sparse value [1, 2] must be a real number"),
+    (lambda: bt.contract(bt.Tensor.ones(3, 2), [np.nan, 1.0]),
+     "vector components must all be finite"),
+    (lambda: bt.polyeval(bt.Tensor.ones(3, 2), [1.0, np.inf]),
+     "vector components must all be finite"),
+], ids=["from-array-one-axis", "from-array-unequal-axes", "entry-arity", "sparse-without-val",
+        "sparse-val-list", "contract-nan", "polyeval-inf"])
+def test_input_checks_name_the_fault(build, message):
+    with pytest.raises(bt.InputError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 class TestJson:
