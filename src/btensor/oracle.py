@@ -11,13 +11,15 @@ does, on the lists its callers pass), so they come out bitwise as on
 numpy arrays, and a value past DBL_MAX becomes inf without a warning.
 For larger dimensions a seeded, shifted fixed-point search returns a
 deterministic subset of the spectrum; completeness is not claimed there,
-and an empty result is a legal outcome.  The search hands each start
-whose defect falls below ``_HANDOFF`` to Newton's method, run on all
-such starts at once as a stack of bordered n x n solves (see
-:func:`_batched_fixed_point`), so pairs on simple eigenvalues are solved
-to rounding level, and starts that found the same pair merge in the
-dedupe.  A start that Newton's method fails restarts the fixed point
-from its start with the handoff off, as the plain fixed point runs it.
+and an empty result is a legal outcome.  The fixed point gives each start
+a budget of ``_PASSES`` passes.  It hands each start whose defect falls
+below ``_HANDOFF``, and each start still sound at the budget with its
+best vector, to one run of Newton's method on all of them at once as a
+stack of bordered n x n solves (see :func:`_batched_fixed_point`).  A
+vector is kept only where Newton's method brings its defect within both
+0.9 tol and ``_POLISH * max|a|``, so pairs on simple eigenvalues are
+solved to rounding level, and starts that found the same pair merge in
+the dedupe; a start that Newton's method fails gives no pair.
 
 The fixed point contracts the tensor with x^(m-1) through its
 symmetrization over the last m-1 indices, which gives the same vector:
@@ -60,8 +62,7 @@ _DEDUPE_TOL = 1e-9
 _HANDOFF = 1e-3
 _NEWTON_STEPS = 32
 _POLISH = 1e-12
-_STALL = 200
-_MAX_STEPS = 10_000
+_PASSES = 50
 
 
 @dataclass(frozen=True)
@@ -283,7 +284,10 @@ def eigenpairs_n2(A: Tensor, tol: float = 1e-8) -> list[EigenPair]:
     g = np.zeros(2 * m - 1)
     g[:m] += p2
     g[m - 1:] -= p1
-    g, p1 = g.tolist(), p1.tolist()
+    # lambda is p1(t), the first row's value, or, from the second row,
+    # p2(t) / t**(m-1), which is p2 reversed at 1/t: where |t| > 1 that keeps
+    # the powers of t, and the error they carry, below 1
+    g, p1, r2 = g.tolist(), p1.tolist(), p2[::-1].tolist()
 
     if not any(g):
         ts = [0.0, 1.0, -1.0]
@@ -294,7 +298,8 @@ def eigenpairs_n2(A: Tensor, tol: float = 1e-8) -> list[EigenPair]:
     X = [[1.0, t] for t in ts]
     # + 0.0 normalizes -0.0; a value past DBL_MAX is inf and fails the residual
     with np.errstate(over="ignore"):
-        lams = (np.ldexp([_eval(p1, t) for t in ts], e) + 0.0).tolist()
+        lams = (np.ldexp([_eval(p1, t) if abs(t) <= 1.0 else _eval(r2, 1.0 / t)
+                          for t in ts], e) + 0.0).tolist()
     if rows[0, -1] == 0.0:
         X.append([0.0, 1.0])
         lams.append(float(rows[1, -1]) + 0.0)
@@ -316,10 +321,12 @@ def eigen_search(A: Tensor, restarts: int = 64, seed: int = 0,
     negation, which steers the iteration toward the high and the low end
     of the spectrum respectively.  The shift starts at a row-sum magnitude
     bound on the spectrum and is halved per start whenever the defect
-    stops shrinking.  All 2 * ``restarts`` starts iterate as one batch
-    (capped at 10**4 steps), and Newton's method polishes those that come
-    near a pair (see :func:`_batched_fixed_point`); the vectors are
-    re-verified through :func:`residual`, deduplicated and sorted.
+    stops shrinking.  All 2 * ``restarts`` starts iterate as one batch for
+    at most ``_PASSES`` (50) passes.  Every start that comes near a pair or
+    is still sound at that budget then goes through one stacked Newton run,
+    which keeps its vector only where it is polished to rounding level
+    (see :func:`_batched_fixed_point`); the vectors are re-verified
+    through :func:`residual`, deduplicated and sorted.
 
     Raises :class:`PreconditionError` when the shift bound, 1 plus the
     largest absolute row sum, exceeds the float range, and
@@ -332,29 +339,25 @@ def eigen_search(A: Tensor, restarts: int = 64, seed: int = 0,
 class SearchCounts:
     """What one :func:`eigen_search` did, start by start.
 
-    Of the 2 * ``restarts`` starts, ``handed_off`` left the fixed point for
-    Newton's method, which ``polished`` of them; the other ``resumed``
-    restarted the fixed point from their start with the handoff off, as
-    the plain fixed point runs it.  Every start that ends in the fixed
-    point ends as one of ``converged`` (defect within 0.9 tol), ``stalled``
-    (no gain in 200 steps, or out of steps) or ``degenerate`` (the iterate
-    left the float range or vanished).  ``halvings`` counts the times a
-    start's shift was halved, ``passes`` the passes of the fixed-point
-    loop over its batch and ``newton_steps`` the stacked bordered solves of
-    both Newton runs;
-    ``pairs_found`` is the number of starts whose vector passed the
-    residual check, ``pairs`` the number of pairs after the dedupe, and
-    ``starts_per_pair``, aligned with the returned pairs, how many of those
-    starts the dedupe collapsed into each: an eigenpair that only one
-    start reached has 1 there.
+    Each of the 2 * ``restarts`` starts ends the fixed point as one of
+    ``converged`` (defect within 0.9 tol), ``degenerate`` (the iterate left
+    the float range or vanished), ``handed_off`` (defect below the hand-off
+    threshold) or ``out_of_passes`` (still sound after the pass budget); the
+    last two go on to Newton's method, which ``polished`` of them.
+    ``halvings`` counts the times a start's shift was halved, ``passes`` the
+    passes of the fixed-point loop over its batch and ``newton_steps`` the
+    stacked bordered solves of the Newton run; ``pairs_found`` is the
+    number of starts whose vector passed the residual check, ``pairs`` the
+    number of pairs after the dedupe, and ``starts_per_pair``, aligned with
+    the returned pairs, how many of those starts the dedupe collapsed into
+    each: an eigenpair that only one start reached has 1 there.
     """
 
-    handed_off: int = 0
-    polished: int = 0
-    resumed: int = 0
     converged: int = 0
-    stalled: int = 0
     degenerate: int = 0
+    handed_off: int = 0
+    out_of_passes: int = 0
+    polished: int = 0
     halvings: int = 0
     passes: int = 0
     newton_steps: int = 0
@@ -405,9 +408,11 @@ def search_report(A: Tensor, restarts: int = 64, seed: int = 0,
                                   alpha0, tol, counts):
         found.setdefault(x.tobytes(), [x, 0])[1] += 1
     candidates = []
-    for x, repeats in found.values():
-        xm = x ** (m - 1)
-        candidates.append((float(contract(A, x) @ xm / (xm @ xm)) + 0.0, x, repeats))
+    # lambda may overflow on entries near DBL_MAX; _verified refuses it then
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, repeats in found.values():
+            xm = x ** (m - 1)
+            candidates.append((float(contract(A, x) @ xm / (xm @ xm)) + 0.0, x, repeats))
     pairs, counts.starts_per_pair = _verified(A, candidates, tol)
     counts.pairs_found = sum(counts.starts_per_pair)
     counts.pairs = len(pairs)
@@ -515,69 +520,49 @@ def _monomials(X, steps):
 
 
 def _batched_fixed_point(rows, signs, m, starts, alpha0, tol, counts):
-    """Run the shifted fixed-point iteration on all starts at once, and
-    finish the near-converged ones by Newton's method.
+    """Run the shifted fixed-point iteration on all starts at once for at
+    most ``_PASSES`` passes, and finish what it hands off by Newton's method.
 
     Start ``i``, column ``i`` of the (n, k) array ``starts``, iterates on
-    the tensor with flattened rows ``rows`` times ``signs[i]``, for at most
-    ``_MAX_STEPS`` steps.  A start leaves the batch as soon as its defect is
-    below ``_HANDOFF``.  When the batch is empty, all starts that left are
-    polished in one stacked Newton run (:func:`_newton`).  A start whose
-    Newton run does not reach a defect within 0.9 tol, the fixed point's
-    bar, restarts the fixed point from its start with the handoff off, as
-    the plain fixed point runs it.  What the fixed point finishes that way,
-    and the vectors that Newton's method brought within 0.9 tol but not to
-    ``_POLISH * max|a|``, get a second stacked Newton run, which keeps a
-    vector only where it ends within 0.9 tol.  Returns the polished and the
-    converged/best vectors (defect within ``tol``) in start order;
-    ``counts``, a :class:`SearchCounts`, tallies what each start did.
+    the tensor with flattened rows ``rows`` times ``signs[i]``.  A start
+    leaves the batch as soon as its defect is below ``_HANDOFF``, and a
+    start still sound at the pass budget leaves with its best vector.  All
+    of them are polished in one stacked Newton run (:func:`_newton`), which
+    keeps a vector only where its defect ends within min(0.9 tol,
+    ``_POLISH * max|a|``): within the fixed point's bar and polished to
+    rounding level, so that no two rough copies of one pair pass the check.
+    Returns the polished and the converged vectors (best defect within
+    ``tol``) in start order; ``counts``, a :class:`SearchCounts`, tallies
+    what each start did.
     """
     plan = _monomial_plan(rows, m)
     # overflow makes the inf and NaN that retire a start: no warning for it
     with np.errstate(over="ignore", invalid="ignore"):
-        finished, (handed, X) = _sweep(plan, m, starts, signs, np.arange(starts.shape[1]),
-                                       alpha0, tol, _HANDOFF, counts)
-        counts.handed_off = handed.size
+        finished, (handed, X) = _sweep(plan, m, starts, signs, alpha0, tol, counts)
         if handed.size:
-            jac, target = _jacobian_plan(*plan), _POLISH * float(np.abs(rows).max())
-            X, defect = _newton(jac, m, X.T, target, counts)
-            polished = defect <= 0.9 * tol
-            counts.polished = int(polished.sum())
-            counts.resumed = counts.handed_off - counts.polished
+            target = _POLISH * float(np.abs(rows).max())
+            X, defect = _newton(_jacobian_plan(*plan), m, X.T, target, counts)
+            polished = defect <= min(0.9 * tol, target)
+            counts.polished = int(np.count_nonzero(polished))
             finished.update(zip(handed[polished], X[polished]))
-            rough = polished & (defect > target)
-            failed = handed[~polished]
-            restarted, _ = _sweep(plan, m, starts[:, failed], signs[failed], failed, alpha0,
-                                  tol, 0.0, counts)
-            again = {**dict(zip(handed[rough], X[rough])), **restarted}
-            if again:
-                # from within tol, a second run polishes what the first left rough
-                # or the fixed point finished; it never ends worse than it starts
-                order = np.array(list(again))
-                X, defect = _newton(jac, m, np.array(list(again.values())), target, counts)
-                finished.update(again)
-                better = defect <= 0.9 * tol
-                finished.update(zip(order[better], X[better]))
     return [finished[i] for i in sorted(finished)]
 
 
-def _sweep(plan, m, X, signs, order, alpha0, tol, handoff, counts):
-    """Iterate the starts, the columns of ``X``, from shift ``alpha0`` until
-    each has converged, stalled, degenerated, run out of steps or been
-    handed off (defect below ``handoff``); start ``i`` iterates on the
-    :func:`_monomial_plan` ``plan`` times ``signs[i]``, and ``order[i]`` is
-    its start index.  Returns ``finished``, the best vector of each retired
-    start whose best defect is within ``tol``, keyed by its start index in
-    retirement order, and the hand-off: the handed-off starts' indices and
-    their vectors from before the step that handed them off.
+def _sweep(plan, m, X, signs, alpha0, tol, counts):
+    """Iterate the starts, the columns of ``X``, from shift ``alpha0`` for at
+    most ``_PASSES`` passes; start ``i`` iterates on the
+    :func:`_monomial_plan` ``plan`` times ``signs[i]``.  A start is handed
+    off once its defect is below ``_HANDOFF``, with its vector from before
+    that pass's step; it retires once it has converged (defect within 0.9
+    tol) or degenerated; and at the budget every start still sound is out
+    of passes and joins the hand-off with its best vector.  Returns
+    ``finished``, the best vector of each retired start whose best defect is
+    within ``tol``, keyed by its start index in retirement order, and the
+    hand-off: those starts' indices and vectors.
 
-    The loop keeps one pass clock, ``t``, the value of ``counts.passes``
-    during a pass.  Each start stores the pass of its last gain, ``gain``;
-    all start in the sweep's first pass, so all run out of steps at pass
-    ``limit``.  The converged and degenerate tests run on every pass; the
-    ``_STALL`` and ``_MAX_STEPS`` limits are tested only from pass ``due``
-    on, the earliest pass at which some start could reach one of them,
-    which is recomputed after each test and each compaction."""
+    All starts begin in the first pass, so all reach the budget on the same
+    pass.  The converged and degenerate tests run only on the passes where
+    some start can meet one of them, and on the budget's pass."""
     # the numpy callables of every pass, looked up once per sweep; their
     # reductions take the axis positionally, which skips a keyword parse
     add_reduce, max_reduce, fmin_reduce = np.add.reduce, np.maximum.reduce, np.fmin.reduce
@@ -588,18 +573,16 @@ def _sweep(plan, m, X, signs, order, alpha0, tol, handoff, counts):
     power = 1.0 / (m - 1)
     bar = 0.9 * tol
     k = X.shape[1]
+    order = np.arange(k)
     alpha, prev, best_res = np.full(k, alpha0), np.full(k, np.inf), np.full(k, np.inf)
     best_X = X.copy()
     finished, handed = {}, [_taken([], order, X)]
-    t = counts.passes
-    stall, limit = _STALL, t + _MAX_STEPS
-    gain = np.full(k, t + 1)
     # the sign of a column's first nonzero component is that of its signs
     # weighted by 2**-i, as each weight outweighs all those after it; up to
     # 53 components every partial sum of the dot is exact
     weights = 0.5 ** np.arange(X.shape[0]) if X.shape[0] <= 53 else None
-    due = _due(gain, stall, limit)
     halvings = 0
+    t = 0
     while order.size:
         t += 1
         # multiplying by -1 is exact: a -1 column sees the product with -A;
@@ -617,22 +600,20 @@ def _sweep(plan, m, X, signs, order, alpha0, tol, handoff, counts):
         # the smallest defect that is not NaN: no NaN passes either bar
         low = fmin_reduce(res)
 
-        if low < handoff:
-            hand = res < handoff
+        if low < _HANDOFF:
+            hand = res < _HANDOFF
             handed.append(_taken(np.flatnonzero(hand), order, X))
+            counts.handed_off += int(count_nonzero(hand))
             stay = np.flatnonzero(~hand)
             if not stay.size:
                 break
-            (X, Z, XM, res, signs, order, alpha, prev, best_res, best_X,
-             gain) = _taken(stay, X, Z, XM, res, signs, order, alpha, prev, best_res, best_X,
-                            gain)
-            due = _due(gain, stall, limit)
+            (X, Z, XM, res, signs, order, alpha, prev, best_res,
+             best_X) = _taken(stay, X, Z, XM, res, signs, order, alpha, prev, best_res, best_X)
 
         improved = res < best_res * (1.0 - 1e-6)
         if count_nonzero(improved):
             np.copyto(best_res, res, where=improved)
             np.copyto(best_X, X, where=improved)
-            np.copyto(gain, t, where=improved)
 
         halve = res > prev
         halved = count_nonzero(halve)
@@ -660,24 +641,24 @@ def _sweep(plan, m, X, signs, order, alpha0, tol, handoff, counts):
 
         # a zero, infinite or NaN scale fails this test; a sum of squares
         # past DBL_MAX only sends its pass to the full test
-        if (low <= bar or t >= due or count_nonzero(scale) < scale.size
+        if (low <= bar or t == _PASSES or count_nonzero(scale) < scale.size
                 or not scale.dot(scale) < math.inf):
             converged = res <= bar
             sound = np.isfinite(scale) & (scale > 0.0)
-            retire = converged | ~sound | (gain < t - stall) | (t >= limit)
-            if count_nonzero(retire):
-                done = int(count_nonzero(converged))
-                degenerate = int(count_nonzero(~sound & ~converged))
-                counts.converged += done
-                counts.degenerate += degenerate
-                counts.stalled += int(count_nonzero(retire)) - done - degenerate
-                for i in np.nonzero(retire & (best_res <= tol))[0]:
-                    finished[order[i]] = best_X[:, i]
-                keep = np.flatnonzero(~retire)
-                (Xn, scale, signs, order, alpha, prev, best_res, best_X,
-                 gain) = _taken(keep, Xn, scale, signs, order, alpha, prev, best_res, best_X,
-                                gain)
-            due = _due(gain, stall, limit)
+            retire = converged | ~sound
+            done, ended = int(count_nonzero(converged)), int(count_nonzero(retire))
+            counts.converged += done
+            counts.degenerate += ended - done
+            for i in np.nonzero(retire & (best_res <= tol))[0]:
+                finished[order[i]] = best_X[:, i]
+            keep = np.flatnonzero(~retire)
+            if t == _PASSES:
+                handed.append(_taken(keep, order, best_X))
+                counts.out_of_passes += keep.size
+                break
+            if ended:
+                (Xn, scale, signs, order, alpha, prev, best_res,
+                 best_X) = _taken(keep, Xn, scale, signs, order, alpha, prev, best_res, best_X)
         # divide each column by its scale, its first nonzero component made
         # positive, as _scaled_columns does; every column left has one
         if weights is None:
@@ -685,7 +666,7 @@ def _sweep(plan, m, X, signs, order, alpha0, tol, handoff, counts):
         else:
             first = weights.dot(sign(Xn))
         X = divide(Xn, copysign(scale, first), out=Xn)
-    counts.passes = t
+    counts.passes += t
     counts.halvings += int(halvings)
     return finished, [np.concatenate(v, axis=-1) for v in zip(*handed)]
 
@@ -693,15 +674,6 @@ def _sweep(plan, m, X, signs, order, alpha0, tol, handoff, counts):
 def _taken(idx, *arrays):
     """Each of ``arrays`` at the indices ``idx`` of its last axis."""
     return [v.take(idx, axis=-1) for v in arrays]
-
-
-def _due(gain, stall, limit):
-    """The first pass at which a start with last gain ``gain`` can exceed
-    ``stall`` idle passes, or ``limit`` if that comes first; 0 for no
-    starts."""
-    if not gain.size:
-        return 0
-    return min(int(np.minimum.reduce(gain)) + stall + 1, limit)
 
 
 def _jacobian_plan(S, steps):
