@@ -430,10 +430,23 @@ def contract(A: Tensor, x) -> np.ndarray:
     over all n**(m-1) index tuples of the row.
     """
     x = _check_vector(A, x)
-    weights = x
+    return _contract_rows(A, x[None, :])[0]
+
+
+def _contract_rows(A: Tensor, X) -> np.ndarray:
+    """:func:`contract` of each row of the (k, n) array ``X``, as the rows of
+    a (k, n) array, bitwise those of one call per row.
+
+    Each row's weights, the n**(m-1) products of its components, are one
+    contiguous row, and the rows of A multiply each as a stack of
+    matrix-vector products, each the product of a call of its own: a matrix
+    product with all the weights at once sums in another order."""
+    k, n = X.shape
+    W = X
     for _ in range(A.order - 2):
-        weights = np.multiply.outer(weights, x)
-    return A.array.reshape(A.dim, -1) @ weights.ravel()
+        # the width is spelled out, as -1 is ambiguous where k is 0
+        W = (W[:, :, None] * X[:, None, :]).reshape(k, W.shape[1] * n)
+    return (A.array.reshape(n, -1) @ W[:, :, None])[:, :, 0]
 
 
 def polyeval(A: Tensor, x) -> float:

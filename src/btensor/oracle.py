@@ -34,11 +34,14 @@ C(n+m-3, m-2) monomials of degree m-2, built by the pass's lower steps.
 
 Both solvers hand their candidates (lambda, x, and the number of starts
 that reached x), in the order they made them, to one step,
-:func:`_verified`: it re-verifies each through :func:`residual`, an
-independent code path from the solvers, keeps the pairs within the
-tolerance and deduplicates and sorts them.  Eigenvectors are normalized
-to max-norm 1 with the first nonzero component positive (a vector and
-its negation always carry the same eigenvalue, so nothing is lost).
+:func:`_verified`.  It re-verifies all of them at once: the defect of
+:func:`residual` on the stacked contraction :func:`_contract_rows` is
+bitwise one :func:`residual` per candidate and a code path independent
+of the solvers' monomial plan.  It keeps the pairs within the tolerance
+and deduplicates and sorts them.  The search takes its lambdas from the
+same contraction.  Eigenvectors are normalized to max-norm 1 with the
+first nonzero component positive (a vector and its negation always carry
+the same eigenvalue, so nothing is lost).
 
 The localization results for Z-tensors concern real eigenvalues that may
 have complex eigenvectors; this oracle only produces H-eigenpairs (real
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_ENTRY_CAP, Tensor, _as_int, contract
+from .core import DEFAULT_ENTRY_CAP, Tensor, _as_int, _contract_rows, contract
 from .errors import InputError, PreconditionError
 
 _COEFF_CUTOFF = 1e-12
@@ -83,8 +86,16 @@ def residual(A: Tensor, lam: float, x) -> float:
         raise InputError("eigenvector must be nonzero")
     scale = np.max(np.abs(x)) if x.ndim == 1 and x.size else 1.0
     xc = x / scale
-    defect = contract(A, xc) - lam * xc ** (A.order - 1)
-    return float(np.max(np.abs(defect)))
+    z = contract(A, xc)
+    return float(_defects(A, lam, xc[None, :], z[None, :])[0])
+
+
+def _defects(A, lam, X, Z):
+    """max|z - lam x^[m-1]| of each row x of the (k, n) array ``X``, with z
+    its row of ``Z``, the contraction :func:`_contract_rows` of ``X``;
+    ``lam`` is one eigenvalue or a column of k.  For x of max-norm 1 this
+    is :func:`residual`."""
+    return np.max(np.abs(Z - lam * X ** (A.order - 1)), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +316,7 @@ def eigenpairs_n2(A: Tensor, tol: float = 1e-8) -> list[EigenPair]:
         lams.append(float(rows[1, -1]) + 0.0)
     X = _canonical_rows(np.array(X).reshape(-1, 2))
     # _distinct made the candidates distinct, so each counts once
-    return _verified(A, ((lam, x, 1) for lam, x in zip(lams, X)), tol)[0]
+    return _verified(A, lams, X, _contract_rows(A, X), [1] * len(lams), tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +336,8 @@ def eigen_search(A: Tensor, restarts: int = 64, seed: int = 0,
     at most ``_PASSES`` (50) passes.  Every start that comes near a pair or
     is still sound at that budget then goes through one stacked Newton run,
     which keeps its vector only where it is polished to rounding level
-    (see :func:`_batched_fixed_point`); the vectors are re-verified
-    through :func:`residual`, deduplicated and sorted.
+    (see :func:`_batched_fixed_point`); the vectors are re-verified as
+    :func:`residual` does, deduplicated and sorted.
 
     Raises :class:`PreconditionError` when the shift bound, 1 plus the
     largest absolute row sum, exceeds the float range, and
@@ -372,9 +383,10 @@ def search_report(A: Tensor, restarts: int = 64, seed: int = 0,
     search; the pairs are the same.
 
     Many starts end on bitwise the same vector, so the vectors are grouped
-    by their bits into candidates that carry their number of starts:
-    lambda and the residual are computed once per distinct vector, and the
-    pairs and counts are those of one check per start.
+    by their bits into candidates that carry their number of starts.  One
+    stacked contraction of the distinct vectors gives every lambda and,
+    in :func:`_verified`, every residual; the pairs and counts are those of
+    one check per start.
 
     Raises :class:`InputError`, before anything is allocated, where
     ``restarts`` would make the monomial batch, the C(n+m-2, m-1) distinct
@@ -407,31 +419,38 @@ def search_report(A: Tensor, restarts: int = 64, seed: int = 0,
     for x in _batched_fixed_point(rows, signs, m, np.hstack([starts, starts]),
                                   alpha0, tol, counts):
         found.setdefault(x.tobytes(), [x, 0])[1] += 1
-    candidates = []
-    # lambda may overflow on entries near DBL_MAX; _verified refuses it then
+    X = np.array([x for x, _ in found.values()]).reshape(-1, n)
+    Z = _contract_rows(A, X)
+    XM = X ** (m - 1)
+    # lambda is z . x^[m-1] / x^[m-1] . x^[m-1]; the stacked 1 x n by n x 1
+    # products are those of one dot per candidate.  It may overflow on
+    # entries near DBL_MAX; _verified refuses it then
     with np.errstate(over="ignore", invalid="ignore"):
-        for x, repeats in found.values():
-            xm = x ** (m - 1)
-            candidates.append((float(contract(A, x) @ xm / (xm @ xm)) + 0.0, x, repeats))
-    pairs, counts.starts_per_pair = _verified(A, candidates, tol)
+        lams = ((Z[:, None, :] @ XM[:, :, None]) / (XM[:, None, :] @ XM[:, :, None])
+                + 0.0)[:, 0, 0].tolist()
+    pairs, counts.starts_per_pair = _verified(A, lams, X, Z,
+                                              [repeats for _, repeats in found.values()], tol)
     counts.pairs_found = sum(counts.starts_per_pair)
     counts.pairs = len(pairs)
     return pairs, counts
 
 
-def _verified(A, candidates, tol):
-    """Re-verify the (lambda, x, repeats) ``candidates`` through
-    :func:`residual`, once each, and pass those within ``tol``, each with a
-    read-only copy of x and its ``repeats``, to :func:`_dedupe_sort`, whose
-    result is returned.  The candidates' order decides which of two pairs
-    with tied sort keys is kept."""
+def _verified(A, lams, X, Z, repeats, tol):
+    """Re-verify the candidates, the rows x of ``X`` with their eigenvalues
+    ``lams`` and ``repeats``, in one stacked check, and pass those within
+    ``tol``, each with a read-only copy of x and its repeats, to
+    :func:`_dedupe_sort`, whose result is returned.  The candidates' order
+    decides which of two pairs with tied sort keys is kept.
+
+    ``Z`` is the contraction :func:`_contract_rows` of ``X``.  Every x has
+    max-norm 1, so x over its max-norm is x and each row's defect is bitwise
+    its :func:`residual`."""
+    res = _defects(A, np.array(lams)[:, None], X, Z)
     items = []
-    for lam, x, repeats in candidates:
-        res = residual(A, lam, x)
-        if res <= tol:
-            x = x.copy()
-            x.setflags(write=False)
-            items.append((EigenPair(lam, x, res), repeats))
+    for i in np.flatnonzero(res <= tol).tolist():
+        x = X[i].copy()
+        x.setflags(write=False)
+        items.append((EigenPair(lams[i], x, float(res[i])), repeats[i]))
     return _dedupe_sort(items)
 
 
@@ -779,20 +798,24 @@ def _dedupe_sort(items):
 
     The sort is stable, so of two pairs with tied sort keys (0.0 and -0.0
     components) the first given is compared first; as the two are equal in
-    value, both join the same slot."""
+    value, both join the same slot.  The comparisons run on each pair's
+    lambda and x as Python floats, whose differences and magnitudes are
+    numpy's bit for bit (x is finite, so no NaN meets ``max``)."""
     ordered = sorted(items, key=_sort_key)
-    kept, merged = [], []
+    kept, keys, merged = [], [], []
     for p, repeats in ordered:
-        for slot, q in enumerate(kept):
-            if (abs(p.lam - q.lam) <= _DEDUPE_TOL * max(1.0, abs(p.lam), abs(q.lam))
-                    and (np.max(np.abs(p.x - q.x)) <= _DEDUPE_TOL
-                         or np.max(np.abs(p.x + q.x)) <= _DEDUPE_TOL)):
-                if p.residual < q.residual:
-                    kept[slot] = p
+        lam, x = p.lam, p.x.tolist()
+        for slot, (mu, y) in enumerate(keys):
+            if (abs(lam - mu) <= _DEDUPE_TOL * max(1.0, abs(lam), abs(mu))
+                    and (max(abs(a - b) for a, b in zip(x, y)) <= _DEDUPE_TOL
+                         or max(abs(a + b) for a, b in zip(x, y)) <= _DEDUPE_TOL)):
+                if p.residual < kept[slot].residual:
+                    kept[slot], keys[slot] = p, (lam, x)
                 break
         else:
             slot = len(kept)
             kept.append(p)
+            keys.append((lam, x))
             merged.append(0)
         merged[slot] += repeats
     final = sorted(zip(kept, merged), key=_sort_key)
@@ -801,4 +824,4 @@ def _dedupe_sort(items):
 
 def _sort_key(item):
     """The sort key, lambda and then x, of a (pair, repeats) item."""
-    return item[0].lam, tuple(item[0].x)
+    return item[0].lam, tuple(item[0].x.tolist())

@@ -742,7 +742,7 @@ class TestSearchReport:
 
 
 # ---------------------------------------------------------------------------
-# one residual check per distinct candidate, its repeats carried as a count
+# one stacked check of the distinct candidates, their repeats carried as counts
 
 def _reference_verified(A, candidates, tol):
     """One :func:`residual` check, read-only copy and dedupe comparison per
@@ -762,6 +762,14 @@ def _reference_verified(A, candidates, tol):
 def _expanded(candidates):
     """The (lambda, x, repeats) ``candidates`` with each repeat listed."""
     return [(lam, x) for lam, x, repeats in candidates for _ in range(repeats)]
+
+
+def _verify(A, candidates, tol=1e-8):
+    """``oracle._verified`` on the (lambda, x, repeats) ``candidates``."""
+    lams = [lam for lam, _, _ in candidates]
+    X = np.array([x for _, x, _ in candidates]).reshape(-1, A.dim)
+    return oracle._verified(A, lams, X, oracle._contract_rows(A, X),
+                            [repeats for _, _, repeats in candidates], tol)
 
 
 def _search_lambda(A, x):
@@ -785,27 +793,46 @@ def _repeat_rich_searches():
             "z-3-3": random_z(np.random.default_rng(75), 3, 3)}
 
 
+#: The families and (order, dim) shapes of the benchmark's search stream.
+_STREAM_FAMILIES = {"z": random_z, "symmetric": random_symmetric, "b": random_b,
+                    "mixed-diag": random_mixed_diag}
+_STREAM_SHAPES = [(3, 3), (3, 6), (4, 3), (4, 6)]
+
+
+def _stream_search(case):
+    """The tensor of ``case``, "family-order-dim"."""
+    family, m, n = case.rsplit("-", 2)
+    m, n = int(m), int(n)
+    return _STREAM_FAMILIES[family](np.random.default_rng(10 * m + n), m, n)
+
+
 @pytest.fixture
 def recorded(monkeypatch):
     """Run a solver with its stages recorded: the vectors each fixed-point
     run returned, in start order, the candidates each ``_verified`` call
-    got, the (lambda, x) bits of each residual check and the items each
-    ``_dedupe_sort`` call got."""
-    seen = {"vectors": [], "candidates": [], "checked": [], "deduped": []}
+    got, the bits of the rows each stacked contraction of the oracle got,
+    the (lambda, x) bits of the rows of each defect check and the items
+    each ``_dedupe_sort`` call got."""
+    seen = {"vectors": [], "candidates": [], "contracted": [], "checked": [], "deduped": []}
     fixed_point, verified = oracle._batched_fixed_point, oracle._verified
-    residual, dedupe = oracle.residual, oracle._dedupe_sort
+    contract_rows, defects, dedupe = oracle._contract_rows, oracle._defects, oracle._dedupe_sort
 
     def recording_fixed_point(*args):
         seen["vectors"].append(list(fixed_point(*args)))
         return seen["vectors"][-1]
 
-    def recording_verified(A, candidates, tol):
-        seen["candidates"].append(list(candidates))
-        return verified(A, seen["candidates"][-1], tol)
+    def recording_verified(A, lams, X, Z, repeats, tol):
+        seen["candidates"].append(list(zip(lams, X, repeats)))
+        return verified(A, lams, X, Z, repeats, tol)
 
-    def counting_residual(A, lam, x):
-        seen["checked"].append(_key(lam, x))
-        return residual(A, lam, x)
+    def recording_contract_rows(A, X):
+        seen["contracted"].append([x.tobytes() for x in X])
+        return contract_rows(A, X)
+
+    def recording_defects(A, lam, X, Z):
+        lams = np.broadcast_to(lam, (len(X), 1))[:, 0].tolist()
+        seen["checked"].append([_key(v, x) for v, x in zip(lams, X)])
+        return defects(A, lam, X, Z)
 
     def recording_dedupe(items):
         seen["deduped"].append(list(items))
@@ -813,15 +840,16 @@ def recorded(monkeypatch):
 
     monkeypatch.setattr(oracle, "_batched_fixed_point", recording_fixed_point)
     monkeypatch.setattr(oracle, "_verified", recording_verified)
-    monkeypatch.setattr(oracle, "residual", counting_residual)
+    monkeypatch.setattr(oracle, "_contract_rows", recording_contract_rows)
+    monkeypatch.setattr(oracle, "_defects", recording_defects)
     monkeypatch.setattr(oracle, "_dedupe_sort", recording_dedupe)
     return seen
 
 
 class TestVerifiedOncePerDistinctCandidate:
-    @pytest.mark.parametrize("case", list(_repeat_rich_searches()))
-    def test_searches_rich_in_repeats_match_the_reference(self, recorded, case):
-        A = _repeat_rich_searches()[case]
+    def _check_search(self, recorded, A):
+        """The search's candidates, its one contraction and its one defect
+        check against a check per start through :func:`residual`."""
         pairs, counts = bt.search_report(A, restarts=64, seed=0)
         [vectors], [candidates] = recorded["vectors"], recorded["candidates"]
         # one candidate per distinct vector, in first-seen order, with its
@@ -831,15 +859,37 @@ class TestVerifiedOncePerDistinctCandidate:
             firsts.setdefault(x.tobytes(), [x, 0])[1] += 1
         assert [(lam.hex(), x.tobytes(), repeats) for lam, x, repeats in candidates] == [
             (_search_lambda(A, x).hex(), key, repeats) for key, (x, repeats) in firsts.items()]
-        assert len(candidates) < len(vectors)
-        # one residual check per candidate
-        assert recorded["checked"] == [_key(lam, x) for lam, x, _ in candidates]
+        # one contraction gives lambda and the defects, and one stacked
+        # check covers every candidate
+        assert recorded["contracted"] == [list(firsts)]
+        assert recorded["checked"] == [[_key(lam, x) for lam, x, _ in candidates]]
         # one check and comparison per start give the same pairs and counts
         want_pairs, want_merged = _reference_verified(
             A, [(_search_lambda(A, x), x) for x in vectors], 1e-8)
         assert _bits(pairs) == _bits(want_pairs)
         assert counts.starts_per_pair == want_merged
         assert counts.pairs_found == sum(repeats for _, repeats in recorded["deduped"][0])
+        return vectors, candidates
+
+    @pytest.mark.parametrize("case", list(_repeat_rich_searches()))
+    def test_searches_rich_in_repeats_match_the_reference(self, recorded, case):
+        vectors, candidates = self._check_search(recorded, _repeat_rich_searches()[case])
+        assert len(candidates) < len(vectors)
+
+    @pytest.mark.parametrize("case", [f"{family}-{m}-{n}" for m, n in _STREAM_SHAPES
+                                      for family in _STREAM_FAMILIES])
+    def test_stream_shapes_and_families_match_the_reference(self, recorded, case):
+        self._check_search(recorded, _stream_search(case))
+
+    def test_search_without_candidates(self, recorded):
+        # a rotation has no real eigenvector: no start ends on a vector, and
+        # the contraction and check run on a stack of no rows
+        A = bt.Tensor.from_array(np.array([[0.0, -1.0], [1.0, 0.0]]))
+        pairs, counts = bt.search_report(A, restarts=8, seed=0)
+        assert (pairs, counts.pairs_found, counts.starts_per_pair) == ([], 0, ())
+        assert recorded["vectors"] == [[]] and recorded["candidates"] == [[]]
+        assert recorded["contracted"] == [[]] and recorded["checked"] == [[]]
+        assert _verify(A, []) == ([], ())
 
     def test_dim2_candidates_match_the_reference(self, recorded):
         # the identity's continuum gives three representatives and the
@@ -854,7 +904,8 @@ class TestVerifiedOncePerDistinctCandidate:
             [candidates] = recorded["candidates"]
             assert all(repeats == 1 for _, _, repeats in candidates)
             keys = [_key(lam, x) for lam, x, _ in candidates]
-            assert recorded["checked"] == keys and len(set(keys)) == len(keys)
+            assert recorded["checked"] == [keys] and len(set(keys)) == len(keys)
+            assert recorded["contracted"] == [[x.tobytes() for _, x, _ in candidates]]
             assert _bits(pairs) == _bits(_reference_verified(A, _expanded(candidates), 1e-8)[0])
 
     def test_signed_zeros_are_distinct_candidates(self, recorded):
@@ -862,8 +913,8 @@ class TestVerifiedOncePerDistinctCandidate:
         A = bt.Tensor.from_array(np.diag([0.0, 1.0]))
         x, y = np.array([1.0, 0.0]), np.array([1.0, -0.0])
         candidates = [(0.0, x, 2), (-0.0, x, 1), (0.0, y, 1), (-0.0, y, 1)]
-        pairs, merged = oracle._verified(A, candidates, 1e-8)
-        assert recorded["checked"] == [_key(lam, v) for lam, v, _ in candidates]
+        pairs, merged = _verify(A, candidates)
+        assert recorded["checked"] == [[_key(lam, v) for lam, v, _ in candidates]]
         want_pairs, want_merged = _reference_verified(A, _expanded(candidates), 1e-8)
         assert _bits(pairs) == _bits(want_pairs)
         assert merged == want_merged == (5,)
@@ -871,8 +922,8 @@ class TestVerifiedOncePerDistinctCandidate:
     def test_rejected_candidates_are_checked_once(self, recorded):
         A = bt.Tensor.from_array(np.diag([2.0, 1.0]))
         x = np.array([1.0, 1.0])
-        assert oracle._verified(A, [(1.0, x, 3)], 1e-8) == ([], ())
-        assert recorded["checked"] == [_key(1.0, x)]
+        assert _verify(A, [(1.0, x, 3)]) == ([], ())
+        assert recorded["checked"] == [[_key(1.0, x)]]
 
 
 # ---------------------------------------------------------------------------
@@ -927,6 +978,16 @@ class TestDedupeMatchesReference:
             self._check(pairs)
             kept, merged = oracle._dedupe_sort(_counted(pairs))
             assert sum(merged) == len(pairs)
+
+    def test_a_slot_compares_with_its_current_pair(self):
+        # b replaces a, its smaller residual winning, and c is within the
+        # tolerance of b but not of a, in lambda or in x: c joins b's slot
+        tol = oracle._DEDUPE_TOL
+        for d_lam, d_x in ((0.9 * tol, 0.0), (0.0, 0.9 * tol)):
+            a, b, c = (oracle.EigenPair(1.0 + k * d_lam, np.array([1.0, 0.5 + k * d_x]), res)
+                       for k, res in ((0, 1e-12), (1, 1e-14), (2, 1e-13)))
+            self._check([a, b, c, a])
+            assert oracle._dedupe_sort(_counted([a, b, c]))[1] == (3,)
 
     def test_random_repeat_patterns(self):
         # objects whose keys tie, differ within the dedupe tolerance or lie

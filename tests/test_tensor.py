@@ -200,6 +200,38 @@ class TestContract:
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
+def _reference_contract(A, x):
+    """One vector's contraction: its weights as nested outer products, then
+    one matrix-vector product with the rows."""
+    weights = x
+    for _ in range(A.order - 2):
+        weights = np.multiply.outer(weights, x)
+    return A.array.reshape(A.dim, -1) @ weights.ravel()
+
+
+class TestContractRows:
+    """The stacked contraction is bitwise one contraction per row."""
+
+    def _check(self, A, X):
+        got = core._contract_rows(A, X)
+        assert got.shape == X.shape
+        for x, z in zip(X, got):
+            assert z.tobytes() == bt.contract(A, x).tobytes()
+            assert z.tobytes() == _reference_contract(A, x).tobytes()
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_stacks_of_0_1_and_45_rows(self, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        A = random_tensor(rng, m, n)
+        for k in (0, 1, 45):
+            self._check(A, rng.uniform(-1.0, 1.0, size=(k, n)))
+
+    def test_one_long_row(self):
+        rng = np.random.default_rng(11)
+        self._check(random_tensor(rng, 3, 100), rng.uniform(-1.0, 1.0, size=(1, 100)))
+
+
 class TestPolyeval:
     def test_all_ones_is_sum_power(self):
         assert bt.polyeval(bt.Tensor.ones(4, 3), [1.0, 1.0, 1.0]) == 81.0
