@@ -440,13 +440,23 @@ def _contract_rows(A: Tensor, X) -> np.ndarray:
     Each row's weights, the n**(m-1) products of its components, are one
     contiguous row, and the rows of A multiply each as a stack of
     matrix-vector products, each the product of a call of its own: a matrix
-    product with all the weights at once sums in another order."""
+    product with all the weights at once sums in another order.
+
+    The rows go in blocks whose weights hold at most ``_BLOCK_ENTRIES``
+    entries, or one row where a row's weights are more, so that the
+    weights never outgrow those of one :func:`contract` call by more than
+    that buffer."""
     k, n = X.shape
-    W = X
-    for _ in range(A.order - 2):
-        # the width is spelled out, as -1 is ambiguous where k is 0
-        W = (W[:, :, None] * X[:, None, :]).reshape(k, W.shape[1] * n)
-    return (A.array.reshape(n, -1) @ W[:, :, None])[:, :, 0]
+    rows = A.array.reshape(n, -1)
+    step = max(1, _BLOCK_ENTRIES // rows.shape[1])
+    Z = np.empty((k, n))
+    for i in range(0, k, step):
+        block = X[i:i + step]
+        W = block
+        for _ in range(A.order - 2):
+            W = (W[:, :, None] * block[:, None, :]).reshape(len(block), -1)
+        Z[i:i + step] = (rows @ W[:, :, None])[:, :, 0]
+    return Z
 
 
 def polyeval(A: Tensor, x) -> float:

@@ -32,16 +32,17 @@ start, so the per-start reductions run down the columns.  Newton's
 Jacobian is sums derived from these once per search times the
 C(n+m-3, m-2) monomials of degree m-2, built by the pass's lower steps.
 
-Both solvers hand their candidates (lambda, x, and the number of starts
-that reached x), in the order they made them, to one step,
-:func:`_verified`.  It re-verifies all of them at once: the defect of
-:func:`residual` on the stacked contraction :func:`_contract_rows` is
-bitwise one :func:`residual` per candidate and a code path independent
-of the solvers' monomial plan.  It keeps the pairs within the tolerance
-and deduplicates and sorts them.  The search takes its lambdas from the
-same contraction.  Eigenvectors are normalized to max-norm 1 with the
-first nonzero component positive (a vector and its negation always carry
-the same eigenvalue, so nothing is lost).
+Both solvers hand their candidates (x and the number of starts that
+reached x; the dim-2 solver also its lambdas), in the order they made
+them, to one step, :func:`_verified`.  It re-verifies all of them at
+once: the defect of :func:`residual` on the stacked contraction
+:func:`_contract_rows` is bitwise one :func:`residual` per candidate and
+a code path independent of the solvers' monomial plan.  It keeps the
+pairs within the tolerance and deduplicates and sorts them.  The
+search's lambdas come from the same contraction.  Eigenvectors are
+normalized to max-norm 1 with the first nonzero component positive (a
+vector and its negation always carry the same eigenvalue, so nothing is
+lost).
 
 The localization results for Z-tensors concern real eigenvalues that may
 have complex eigenvectors; this oracle only produces H-eigenpairs (real
@@ -316,7 +317,7 @@ def eigenpairs_n2(A: Tensor, tol: float = 1e-8) -> list[EigenPair]:
         lams.append(float(rows[1, -1]) + 0.0)
     X = _canonical_rows(np.array(X).reshape(-1, 2))
     # _distinct made the candidates distinct, so each counts once
-    return _verified(A, lams, X, _contract_rows(A, X), [1] * len(lams), tol)[0]
+    return _verified(A, X, [1] * len(lams), tol, lams)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +385,9 @@ def search_report(A: Tensor, restarts: int = 64, seed: int = 0,
 
     Many starts end on bitwise the same vector, so the vectors are grouped
     by their bits into candidates that carry their number of starts.  One
-    stacked contraction of the distinct vectors gives every lambda and,
-    in :func:`_verified`, every residual; the pairs and counts are those of
-    one check per start.
+    stacked contraction of the distinct vectors, in :func:`_verified`,
+    gives every lambda and every residual; the pairs and counts are those
+    of one check per start.
 
     Raises :class:`InputError`, before anything is allocated, where
     ``restarts`` would make the monomial batch, the C(n+m-2, m-1) distinct
@@ -420,31 +421,33 @@ def search_report(A: Tensor, restarts: int = 64, seed: int = 0,
                                   alpha0, tol, counts):
         found.setdefault(x.tobytes(), [x, 0])[1] += 1
     X = np.array([x for x, _ in found.values()]).reshape(-1, n)
-    Z = _contract_rows(A, X)
-    XM = X ** (m - 1)
-    # lambda is z . x^[m-1] / x^[m-1] . x^[m-1]; the stacked 1 x n by n x 1
-    # products are those of one dot per candidate.  It may overflow on
-    # entries near DBL_MAX; _verified refuses it then
-    with np.errstate(over="ignore", invalid="ignore"):
-        lams = ((Z[:, None, :] @ XM[:, :, None]) / (XM[:, None, :] @ XM[:, :, None])
-                + 0.0)[:, 0, 0].tolist()
-    pairs, counts.starts_per_pair = _verified(A, lams, X, Z,
-                                              [repeats for _, repeats in found.values()], tol)
+    pairs, counts.starts_per_pair = _verified(A, X, [repeats for _, repeats in found.values()],
+                                              tol)
     counts.pairs_found = sum(counts.starts_per_pair)
     counts.pairs = len(pairs)
     return pairs, counts
 
 
-def _verified(A, lams, X, Z, repeats, tol):
-    """Re-verify the candidates, the rows x of ``X`` with their eigenvalues
-    ``lams`` and ``repeats``, in one stacked check, and pass those within
+def _verified(A, X, repeats, tol, lams=None):
+    """Re-verify the candidates, the rows x of ``X`` with their ``repeats``
+    and eigenvalues ``lams``, in one stacked check, and pass those within
     ``tol``, each with a read-only copy of x and its repeats, to
     :func:`_dedupe_sort`, whose result is returned.  The candidates' order
     decides which of two pairs with tied sort keys is kept.
 
-    ``Z`` is the contraction :func:`_contract_rows` of ``X``.  Every x has
-    max-norm 1, so x over its max-norm is x and each row's defect is bitwise
-    its :func:`residual`."""
+    Every x has max-norm 1, so x over its max-norm is x, and each row's
+    defect on the stacked contraction :func:`_contract_rows` of ``X`` is
+    bitwise its :func:`residual`.  Without ``lams``, each x's eigenvalue is
+    taken from the same contraction as z . x^[m-1] / x^[m-1] . x^[m-1]."""
+    Z = _contract_rows(A, X)
+    if lams is None:
+        XM = X ** (A.order - 1)
+        # the stacked 1 x n by n x 1 products are those of one dot per
+        # candidate; lambda may overflow on entries near DBL_MAX and is
+        # refused then
+        with np.errstate(over="ignore", invalid="ignore"):
+            lams = ((Z[:, None, :] @ XM[:, :, None]) / (XM[:, None, :] @ XM[:, :, None])
+                    + 0.0)[:, 0, 0].tolist()
     res = _defects(A, np.array(lams)[:, None], X, Z)
     items = []
     for i in np.flatnonzero(res <= tol).tolist():

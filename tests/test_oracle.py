@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
@@ -12,7 +13,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import btensor as bt
-from btensor import oracle
+from btensor import core, oracle
 from cases import (make_cancelling_rows, make_t42, make_t43, make_z32, random_b,
                    random_hypergraph, random_mixed_diag, random_symmetric, random_tensor,
                    random_z)
@@ -766,10 +767,9 @@ def _expanded(candidates):
 
 def _verify(A, candidates, tol=1e-8):
     """``oracle._verified`` on the (lambda, x, repeats) ``candidates``."""
-    lams = [lam for lam, _, _ in candidates]
     X = np.array([x for _, x, _ in candidates]).reshape(-1, A.dim)
-    return oracle._verified(A, lams, X, oracle._contract_rows(A, X),
-                            [repeats for _, _, repeats in candidates], tol)
+    return oracle._verified(A, X, [repeats for _, _, repeats in candidates], tol,
+                            [lam for lam, _, _ in candidates])
 
 
 def _search_lambda(A, x):
@@ -809,8 +809,9 @@ def _stream_search(case):
 @pytest.fixture
 def recorded(monkeypatch):
     """Run a solver with its stages recorded: the vectors each fixed-point
-    run returned, in start order, the candidates each ``_verified`` call
-    got, the bits of the rows each stacked contraction of the oracle got,
+    run returned, in start order, the (lambda, x, repeats) candidates each
+    ``_verified`` call got, lambda None where the call takes it from the
+    contraction, the bits of the rows each stacked contraction of the oracle got,
     the (lambda, x) bits of the rows of each defect check and the items
     each ``_dedupe_sort`` call got."""
     seen = {"vectors": [], "candidates": [], "contracted": [], "checked": [], "deduped": []}
@@ -821,9 +822,10 @@ def recorded(monkeypatch):
         seen["vectors"].append(list(fixed_point(*args)))
         return seen["vectors"][-1]
 
-    def recording_verified(A, lams, X, Z, repeats, tol):
-        seen["candidates"].append(list(zip(lams, X, repeats)))
-        return verified(A, lams, X, Z, repeats, tol)
+    def recording_verified(A, X, repeats, tol, lams=None):
+        given = [None] * len(X) if lams is None else lams
+        seen["candidates"].append(list(zip(given, X, repeats)))
+        return verified(A, X, repeats, tol, lams)
 
     def recording_contract_rows(A, X):
         seen["contracted"].append([x.tobytes() for x in X])
@@ -853,16 +855,16 @@ class TestVerifiedOncePerDistinctCandidate:
         pairs, counts = bt.search_report(A, restarts=64, seed=0)
         [vectors], [candidates] = recorded["vectors"], recorded["candidates"]
         # one candidate per distinct vector, in first-seen order, with its
-        # number of starts and the lambda its own vector gives
+        # number of starts; the search leaves lambda to the check
         firsts = {}
         for x in vectors:
             firsts.setdefault(x.tobytes(), [x, 0])[1] += 1
-        assert [(lam.hex(), x.tobytes(), repeats) for lam, x, repeats in candidates] == [
-            (_search_lambda(A, x).hex(), key, repeats) for key, (x, repeats) in firsts.items()]
-        # one contraction gives lambda and the defects, and one stacked
-        # check covers every candidate
+        assert [(lam, x.tobytes(), repeats) for lam, x, repeats in candidates] == [
+            (None, key, repeats) for key, (x, repeats) in firsts.items()]
+        # one contraction gives the defects and each candidate the lambda
+        # its own vector gives, and one stacked check covers every candidate
         assert recorded["contracted"] == [list(firsts)]
-        assert recorded["checked"] == [[_key(lam, x) for lam, x, _ in candidates]]
+        assert recorded["checked"] == [[_key(_search_lambda(A, x), x) for x, _ in firsts.values()]]
         # one check and comparison per start give the same pairs and counts
         want_pairs, want_merged = _reference_verified(
             A, [(_search_lambda(A, x), x) for x in vectors], 1e-8)
@@ -890,6 +892,31 @@ class TestVerifiedOncePerDistinctCandidate:
         assert recorded["vectors"] == [[]] and recorded["candidates"] == [[]]
         assert recorded["contracted"] == [[]] and recorded["checked"] == [[]]
         assert _verify(A, []) == ([], ())
+
+    def test_high_order_checks_stay_within_one_block(self, monkeypatch):
+        # the searches' candidates and the dim-2 roots are contracted in
+        # blocks of at most _BLOCK_ENTRIES weights, or one row's, where all
+        # of them at once would be many times that
+        contract_rows, peaks = oracle._contract_rows, []
+
+        def traced_contract_rows(A, X):
+            tracemalloc.start()
+            try:
+                Z = contract_rows(A, X)
+                peaks.append((A, len(X), tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+            return Z
+
+        monkeypatch.setattr(oracle, "_contract_rows", traced_contract_rows)
+        rng = np.random.default_rng(4)
+        bt.search_report(random_z(rng, 7, 6), restarts=64, seed=0)
+        bt.search_report(random_z(rng, 8, 6), restarts=64, seed=0)
+        bt.eigenpairs_n2(random_tensor(rng, 20, 2))
+        assert len(peaks) == 3
+        for A, k, peak in peaks:
+            width = A.dim ** (A.order - 1)
+            assert peak <= 2 * 8 * max(core._BLOCK_ENTRIES, width) < 8 * k * width
 
     def test_dim2_candidates_match_the_reference(self, recorded):
         # the identity's continuum gives three representatives and the

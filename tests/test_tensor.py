@@ -219,9 +219,13 @@ class TestContractRows:
             assert z.tobytes() == bt.contract(A, x).tobytes()
             assert z.tobytes() == _reference_contract(A, x).tobytes()
 
+    @pytest.mark.parametrize("block_rows", [None, 2, 1])
     @pytest.mark.parametrize("m", range(2, 9))
     @pytest.mark.parametrize("n", range(1, 5))
-    def test_stacks_of_0_1_and_45_rows(self, m, n):
+    def test_stacks_of_0_1_and_45_rows(self, monkeypatch, m, n, block_rows):
+        # in one block, or in blocks of two rows (the last of one) or of one
+        if block_rows:
+            monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_rows * n ** (m - 1))
         rng = np.random.default_rng(10 * m + n)
         A = random_tensor(rng, m, n)
         for k in (0, 1, 45):
